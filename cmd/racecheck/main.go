@@ -1,6 +1,8 @@
 // Command racecheck decides whether a program (in the repository's litmus
-// format) obeys a synchronization model — Definition 3 — by enumerating its
-// idealized executions and reporting any data races found. With -trace it
+// format) obeys a synchronization model — Definition 3 — and reports any data
+// races found. Under drf0 one SC outcome search decides the program and
+// certifies one racy execution; -model drf1 and -all enumerate its idealized
+// executions instead. With -trace it
 // instead checks a recorded execution (JSON, as written by wosim -dump-trace):
 // races under the model, sequential consistency of the result, and — when the
 // trace carries timing data — the Section-5.1 conditions.
@@ -10,7 +12,8 @@
 //	racecheck [-model drf0|drf1] [-max-ops N] [-all] FILE
 //	racecheck -trace [-model drf0|drf1] FILE.json
 //
-// -all reports every racy execution instead of stopping at the first.
+// -all enumerates every idealized execution and reports each racy one
+// instead of stopping at the first.
 package main
 
 import (
@@ -30,7 +33,7 @@ import (
 func main() {
 	modelName := flag.String("model", "drf0", "synchronization model: drf0 or drf1")
 	maxOps := flag.Int("max-ops", 48, "per-execution operation bound (spin loops make executions unbounded)")
-	all := flag.Bool("all", false, "collect every racy execution")
+	all := flag.Bool("all", false, "enumerate every idealized execution and collect each racy one")
 	traceMode := flag.Bool("trace", false, "FILE is a recorded trace (JSON), not a program")
 	flag.Parse()
 	if flag.NArg() != 1 {

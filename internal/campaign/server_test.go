@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"weakorder/internal/fuzz"
+	"weakorder/internal/par"
+	"weakorder/internal/program"
 )
 
 func newTestService(t *testing.T) (*Server, *httptest.Server) {
@@ -118,6 +120,33 @@ func TestCheckEndpointCacheHit(t *testing.T) {
 	}
 	if fourth.Cached {
 		t.Fatalf("different machine set was answered from the cache")
+	}
+}
+
+// TestCheckExploredNowIsWholeCost pins a cold /v1/check's explored_now to
+// the verdict's whole exploration cost: the States fuzz.Checker.Check reports,
+// which is the SC pass plus every machine. The auto-sized explorations run
+// serially here, so the reduced state counts are deterministic.
+func TestCheckExploredNowIsWholeCost(t *testing.T) {
+	defer par.SetWorkers(1)()
+	_, hs := newTestService(t)
+	for i := 0; i < 4; i++ {
+		_, p := ProgramFor(1, i)
+		var resp CheckResponse
+		if code := postJSON(t, hs.URL+"/v1/check", CheckRequest{Litmus: fuzz.EmitLitmus(p)}, &resp); code != http.StatusOK {
+			t.Fatalf("%s: status %d", p.Name, code)
+		}
+		res, err := program.Parse(fuzz.EmitLitmus(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := (&fuzz.Checker{}).Check(res.Program) // the weakly ordered machines, as /v1/check defaults
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Cached || resp.ExploredNow != rep.States {
+			t.Errorf("%s: cached %v, explored_now %d, want a cold reply exploring %d", p.Name, resp.Cached, resp.ExploredNow, rep.States)
+		}
 	}
 }
 

@@ -96,10 +96,27 @@ type ExecutionEnumerator interface {
 	IdealizedExecutions(fn func(*mem.Execution) bool) error
 }
 
+// DRF0Decider is an optional extension of ExecutionEnumerator for
+// enumerators that can decide DRF0 inside one outcome search instead of
+// checking every idealized execution (model.Enumerator over the SC machine;
+// DESIGN.md §"Single-pass DRF0"). CheckProgram consults it for DRF0 with
+// maxViolations == 1, the plain question "does the program obey DRF0?".
+type DRF0Decider interface {
+	// DecideDRF0 returns the verdict, with at most one certified violation,
+	// or ok == false when this enumerator cannot decide directly, in which
+	// case CheckProgram enumerates.
+	DecideDRF0() (rep *ProgramReport, ok bool, err error)
+}
+
 // ProgramReport aggregates per-execution verdicts over all idealized
 // executions of a program (Definition 3 proper).
 type ProgramReport struct {
-	Model      string
+	Model string
+	// Executions counts what the verdict examined. Enumeration counts every
+	// idealized execution it checked. A DRF0Decider's single pass counts the
+	// distinct SC results its outcome search reached, one complete execution
+	// per result; on a racy program, only those reached before the first
+	// race.
 	Executions int
 	// Violations holds the report of every racy execution found (capped by
 	// the maxViolations argument of CheckProgram).
@@ -122,8 +139,16 @@ func (p *ProgramReport) String() string {
 // CheckProgram decides Definition 3 for a whole program by checking every
 // idealized execution produced by the enumerator. maxViolations > 0 stops
 // enumeration after that many racy executions (the verdict is already
-// negative); pass 0 to collect them all.
+// negative); pass 0 to collect them all. DRF0 with maxViolations == 1 goes to
+// the enumerator's DRF0Decider when it has one.
 func CheckProgram(enum ExecutionEnumerator, m SyncModel, maxViolations int) (*ProgramReport, error) {
+	if d, ok := enum.(DRF0Decider); ok && maxViolations == 1 {
+		if _, isDRF0 := m.(DRF0); isDRF0 {
+			if rep, decided, err := d.DecideDRF0(); decided {
+				return rep, err
+			}
+		}
+	}
 	rep := &ProgramReport{Model: m.Name()}
 	var innerErr error
 	err := enum.IdealizedExecutions(func(e *mem.Execution) bool {

@@ -166,6 +166,47 @@ func TestCheckProgramStopsAtMaxViolations(t *testing.T) {
 	}
 }
 
+// decidingEnum is sliceEnum with a DRF0Decider whose reports are marked by
+// Executions == -1, so a test can tell which path CheckProgram took.
+type decidingEnum struct {
+	sliceEnum
+	decides bool
+}
+
+func (d decidingEnum) DecideDRF0() (*ProgramReport, bool, error) {
+	if !d.decides {
+		return nil, false, nil
+	}
+	return &ProgramReport{Model: "DRF0", Executions: -1}, true, nil
+}
+
+// TestCheckProgramRoutesDRF0Decider pins when CheckProgram hands the verdict
+// to a DRF0Decider: DRF0 with maxViolations == 1 only, and only when the
+// decider accepts; everything else enumerates.
+func TestCheckProgramRoutesDRF0Decider(t *testing.T) {
+	racy := sliceEnum{racyPair()}
+	cases := []struct {
+		enum    ExecutionEnumerator
+		m       SyncModel
+		max     int
+		decided bool
+	}{
+		{decidingEnum{racy, true}, DRF0{}, 1, true},
+		{decidingEnum{racy, true}, DRF0{}, 0, false},
+		{decidingEnum{racy, true}, DRF1{}, 1, false},
+		{decidingEnum{racy, false}, DRF0{}, 1, false},
+	}
+	for i, c := range cases {
+		rep, err := CheckProgram(c.enum, c.m, c.max)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if got := rep.Executions == -1; got != c.decided {
+			t.Errorf("case %d (%s, max %d): decided by the DRF0Decider = %v, want %v", i, c.m.Name(), c.max, got, c.decided)
+		}
+	}
+}
+
 func TestCheckProgramAllFree(t *testing.T) {
 	rep, err := CheckProgram(sliceEnum{handoff(), handoff()}, DRF0{}, 0)
 	if err != nil {

@@ -41,10 +41,11 @@ func contractMachines() []litmus.Factory {
 // mostly DRF0 ones). Programs are loop-free so outcome enumeration — which
 // must key on read histories to preserve the paper's Result — stays
 // exhaustive and bounded; spin-loop programs are covered by the litmus corpus
-// and the timed machine tests instead. For every program the experiment
-// decides Definition 3 by enumerating all idealized executions, then checks
-// Definition 2's containment — outcomes(M, P) ⊆ outcomes(SC, P) — for every
-// machine, using the paper's Result (all read values plus final memory).
+// and the timed machine tests instead. For every program one SC exploration
+// (fuzz.Checker) decides Definition 3 and collects the SC outcome set, then
+// the experiment checks Definition 2's containment — outcomes(M, P) ⊆
+// outcomes(SC, P) — for every machine, using the paper's Result (all read
+// values plus final memory).
 func Contract(n int, seed int64) (*ContractSummary, error) {
 	if n <= 0 {
 		n = 40
@@ -77,9 +78,9 @@ func Contract(n int, seed int64) (*ContractSummary, error) {
 		progs = append(progs, workload.RandomGuarded(seed+int64(i), 1+i%3, i%2))
 	}
 	s.Programs = len(progs)
-	// Every program's containment check — the expensive part, quantifying
-	// over all idealized executions — is independent of every other's, so the
-	// sweep fans out through the worker pool. Each cell reports its verdicts
+	// Every program's containment check — the expensive part, one SC pass
+	// plus one exploration per machine — is independent of every other's, so
+	// the sweep fans out through the worker pool. Each cell reports its verdicts
 	// and the serial reduction below aggregates them in input order, keeping
 	// the summary identical at any pool width.
 	type verdict struct {

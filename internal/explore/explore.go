@@ -1,11 +1,11 @@
 // Package explore is the single state-space exploration kernel behind every
 // enumerator in the repository: the operational-model explorer
 // (model.Explorer), the sequential-consistency replay search (core.SCCheck),
-// and — through the model layer — the fuzzer's idealized-execution
-// enumeration. A client implements the TransitionSystem interface (enabled
-// steps, apply, canonical append-key, per-agent footprints) and the kernel
-// provides the explicit-stack depth-first search, state deduplication,
-// budgets, and conflict-driven partial-order reduction.
+// and — through the model layer — the idealized-execution enumeration. A
+// client implements the TransitionSystem interface (enabled steps, apply,
+// canonical append-key, per-agent footprints) and the kernel provides the
+// explicit-stack depth-first search, state deduplication, budgets, and
+// conflict-driven partial-order reduction.
 //
 // # Partial-order reduction
 //
@@ -331,23 +331,11 @@ type visitedSet struct {
 	full   map[string]uint64
 }
 
-// visitedCapacity sizes the visited store from the state budget: an explicit
-// MaxStates is a size hint (capped so absurd budgets don't preallocate
-// gigabytes), while the DefaultMaxStates safety net is not — runs that never
-// said how big they are start small and grow.
-func visitedCapacity(maxStates int) int {
-	const floor, ceil = 1024, 1 << 21
-	switch {
-	case maxStates <= 0:
-		return floor
-	case maxStates < floor:
-		return maxStates
-	case maxStates > ceil:
-		return ceil
-	default:
-		return maxStates
-	}
-}
+// initialVisited is the visited store's starting capacity. The store grows
+// with the exploration and is never sized from MaxStates, which only bounds
+// the count: most explorations visit a few hundred states, and a map sized for
+// a 400 000-state budget costs more to allocate and clear than such a search.
+const initialVisited = 1024
 
 func newVisitedSet(fullKeys bool, capacity int) *visitedSet {
 	v := &visitedSet{}
@@ -520,7 +508,7 @@ func (x *Explorer) Run(sys TransitionSystem, final func(TransitionSystem) bool) 
 		budget = DefaultMaxStates
 	}
 	st := Stats{}
-	visited := newVisitedSet(x.FullKeys, visitedCapacity(x.MaxStates))
+	visited := newVisitedSet(x.FullKeys, initialVisited)
 	finals := newVisitedSet(x.FullKeys, 16)
 	red := &reducer{syncOrder: x.VisibleSyncOrder}
 	stop := false

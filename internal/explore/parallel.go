@@ -229,7 +229,7 @@ func (x *Explorer) runParallel(sys TransitionSystem, final func(TransitionSystem
 	}
 	p := &prun{
 		x:       x,
-		visited: newStripedVisited(x.FullKeys, visitedCapacity(x.MaxStates), budget),
+		visited: newStripedVisited(x.FullKeys, initialVisited, budget),
 		deques:  make([]*wsDeque, width),
 		final:   final,
 	}

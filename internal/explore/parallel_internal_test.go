@@ -8,6 +8,7 @@ package explore
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"weakorder/internal/mem"
@@ -227,10 +228,10 @@ func (c *countSystem) Footprints(buf []AgentFootprints) []AgentFootprints {
 	return buf
 }
 
-// BenchmarkExplorerVisited pins the visited store's allocation behavior: a
-// 4096-state full exploration with MaxStates set, so the store is pre-sized
-// from the budget and allocs/op stays flat instead of growing with rehash
-// storms. Compare against BENCH_explore.json when touching the store.
+// BenchmarkExplorerVisited measures the visited store's allocation behavior
+// on a 4096-state full exploration: the store starts at initialVisited and
+// grows with the search. Compare against BENCH_explore.json when touching the
+// store.
 func BenchmarkExplorerVisited(b *testing.B) {
 	const limit, agents = 7, 4 // (limit+1)^agents = 4096 states
 	want := 1
@@ -247,6 +248,29 @@ func BenchmarkExplorerVisited(b *testing.B) {
 		}
 		if st.States != want {
 			b.Fatalf("visited %d states, want %d", st.States, want)
+		}
+	}
+}
+
+// TestSmallExplorationAllocatesLittle pins the visited store's sizing: a
+// 12-state exploration under a 400 000-state budget must allocate for its
+// 12 states, not for the budget, serial and striped alike.
+func TestSmallExplorationAllocatesLittle(t *testing.T) {
+	const runs, limit = 20, 256 << 10
+	for _, workers := range []int{1, 2} {
+		x := &Explorer{MaxStates: 400_000, Workers: workers}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			st, err := x.Run(&fanSystem{width: 11, picked: -1}, func(TransitionSystem) bool { return true })
+			if err != nil || st.States != 12 {
+				t.Fatalf("workers=%d: %d states, err %v; want 12 states", workers, st.States, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= limit {
+			t.Errorf("workers=%d: a 12-state exploration allocated %d bytes, want under %d", workers, per, limit)
 		}
 	}
 }

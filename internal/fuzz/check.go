@@ -8,7 +8,9 @@
 //   - Checker differentially runs one program on every machine under test
 //     against the SC reference, asserting outcome-set containment
 //     (outcomes(M, P) ⊆ outcomes(SC, P)) for DRF0 programs and recording —
-//     but not failing on — non-SC outcomes of racy ones.
+//     but not failing on — non-SC outcomes of racy ones. One SC exploration
+//     (model.Explorer.CheckSC) yields both the DRF0 verdict and the SC
+//     outcome set.
 //   - Minimize delta-debugs a violating program (drop threads, drop
 //     instructions, merge addresses), re-verifying after every step that the
 //     program still obeys DRF0 and the violation still reproduces.
@@ -97,10 +99,10 @@ type MachineReport struct {
 type Report struct {
 	Prog       *program.Program
 	DRF0       bool // whether the program obeys DRF0 (Definition 3)
-	Executions int  // idealized executions enumerated for the DRF0 verdict
 	SCOutcomes int
-	// States totals the distinct states visited across the SC reference and
-	// every machine exploration — the effort this verdict cost to compute.
+	// States totals the distinct states visited across the SC pass (which
+	// decides DRF0 too) and every machine exploration — the effort this
+	// verdict cost to compute.
 	// The campaign cache stores it so a cache hit can answer with the
 	// original figure while demonstrably doing zero new exploration.
 	States   int64
@@ -150,25 +152,20 @@ func (r *Report) RacyNonSC() bool {
 	return false
 }
 
-// Check runs the full differential pipeline on one program: decide DRF0 by
-// enumerating all idealized executions (Definition 3), collect the SC outcome
-// set, then check Definition-2 containment for every machine under test.
+// Check runs the full differential pipeline on one program: one SC
+// exploration decides DRF0 (Definition 3) and collects the SC outcome set,
+// then Definition-2 containment is checked for every machine under test.
 func (c *Checker) Check(p *program.Program) (*Report, error) {
 	x := c.explorer()
 	rep := &Report{Prog: p}
-	enum := &model.Enumerator{Prog: p, Explorer: x}
-	drf, err := core.CheckProgram(enum, core.DRF0{}, 1)
+	sc, err := x.CheckSC(p, false)
 	if err != nil {
-		return nil, fmt.Errorf("fuzz: DRF0 check of %s: %w", p.Name, err)
+		return nil, fmt.Errorf("fuzz: SC pass of %s: %w", p.Name, err)
 	}
-	rep.DRF0 = drf.Obeys()
-	rep.Executions = drf.Executions
-	scOut, scStats, err := x.Outcomes(model.NewSC(p))
-	if err != nil {
-		return nil, fmt.Errorf("fuzz: SC outcomes of %s: %w", p.Name, err)
-	}
+	scOut := sc.Outcomes
+	rep.DRF0 = sc.Race == nil
 	rep.SCOutcomes = len(scOut)
-	rep.States = int64(scStats.States)
+	rep.States = int64(sc.Stats.States)
 	axCache := make(map[axiomatic.System]map[string]mem.Result)
 	for _, f := range c.machines() {
 		hwOut, hwStats, err := x.Outcomes(f.New(p))
@@ -237,13 +234,8 @@ func violates(p *program.Program, f litmus.Factory, x *model.Explorer) bool {
 	if p == nil || len(p.Threads) == 0 || p.Validate() != nil {
 		return false
 	}
-	enum := &model.Enumerator{Prog: p, Explorer: x}
-	drf, err := core.CheckProgram(enum, core.DRF0{}, 1)
-	if err != nil || !drf.Obeys() {
-		return false
-	}
-	scOut, _, err := x.Outcomes(model.NewSC(p))
-	if err != nil {
+	sc, err := x.CheckSC(p, true)
+	if err != nil || sc.Race != nil {
 		return false
 	}
 	hwOut, _, err := x.Outcomes(f.New(p))
@@ -251,7 +243,7 @@ func violates(p *program.Program, f litmus.Factory, x *model.Explorer) bool {
 		return false
 	}
 	for k := range hwOut {
-		if _, ok := scOut[k]; !ok {
+		if _, ok := sc.Outcomes[k]; !ok {
 			return true
 		}
 	}

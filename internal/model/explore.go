@@ -73,12 +73,13 @@ type machineSystem struct {
 	m           Machine
 	mode        KeyMode
 	maxTraceOps int
+	race        *raceProbe // set on a CheckSC pass; shared by every clone
 }
 
 func (s *machineSystem) Name() string { return s.m.Name() }
 
 func (s *machineSystem) Clone() explore.TransitionSystem {
-	return &machineSystem{m: s.m.Clone(), mode: s.mode, maxTraceOps: s.maxTraceOps}
+	return &machineSystem{m: s.m.Clone(), mode: s.mode, maxTraceOps: s.maxTraceOps, race: s.race}
 }
 
 func (s *machineSystem) Steps() []explore.Step {
@@ -97,6 +98,9 @@ func (s *machineSystem) Steps() []explore.Step {
 		}
 		return x.Info.Addr < y.Info.Addr
 	})
+	if s.race != nil {
+		s.race.observe(s.m, steps)
+	}
 	return steps
 }
 
@@ -109,6 +113,9 @@ func (s *machineSystem) Done() bool { return s.m.Done() }
 func (s *machineSystem) AppendKey(key []byte) []byte { return s.m.AppendKey(s.mode, key) }
 
 func (s *machineSystem) Prune() bool {
+	if s.race != nil && s.race.halted() {
+		return true
+	}
 	return s.maxTraceOps > 0 && s.m.Trace().Len() > s.maxTraceOps
 }
 
@@ -120,6 +127,11 @@ func (s *machineSystem) Footprints(buf []explore.AgentFootprints) []explore.Agen
 // (Done() true, deduplicated under Mode). fn returning false stops early.
 // Visit reports statistics via the returned Stats even on early stop.
 func (x *Explorer) Visit(m Machine, fn func(Machine) bool) (Stats, error) {
+	return x.visit(m, nil, fn)
+}
+
+// visit is Visit with an optional race probe watching every entered state.
+func (x *Explorer) visit(m Machine, race *raceProbe, fn func(Machine) bool) (Stats, error) {
 	k := explore.Explorer{
 		MaxStates:       x.MaxStates,
 		FullExploration: x.FullExploration,
@@ -130,7 +142,7 @@ func (x *Explorer) Visit(m Machine, fn func(Machine) bool) (Stats, error) {
 		// only see sync effects through their memory locations.
 		VisibleSyncOrder: x.Mode >= KeyExecution,
 	}
-	sys := &machineSystem{m: m, mode: x.Mode, maxTraceOps: x.MaxTraceOps}
+	sys := &machineSystem{m: m, mode: x.Mode, maxTraceOps: x.MaxTraceOps, race: race}
 	return k.Run(sys, func(s explore.TransitionSystem) bool {
 		return fn(s.(*machineSystem).m)
 	})
@@ -163,7 +175,9 @@ func (x *Explorer) FinalStates(m Machine, fn func(*program.FinalState) bool) (St
 // all idealized executions. The factory is normally NewSC — Definition 3 is
 // stated over the idealized architecture — and exploration runs at
 // KeyExecution granularity so every distinct happens-before relation is
-// produced.
+// produced. Over the default SC machine it also implements
+// core.DRF0Decider, which lets CheckProgram answer "does the program obey
+// DRF0?" with one CheckSC pass instead.
 type Enumerator struct {
 	Prog     *program.Program
 	Explorer *Explorer
@@ -171,15 +185,40 @@ type Enumerator struct {
 	New func(*program.Program) Machine
 }
 
-var _ core.ExecutionEnumerator = (*Enumerator)(nil)
+var (
+	_ core.ExecutionEnumerator = (*Enumerator)(nil)
+	_ core.DRF0Decider         = (*Enumerator)(nil)
+)
+
+func (e *Enumerator) explorer() *Explorer {
+	if e.Explorer == nil {
+		return &Explorer{}
+	}
+	return e.Explorer
+}
+
+// DecideDRF0 implements core.DRF0Decider: one CheckSC pass that stops at the
+// first race. Executions counts the distinct SC results the pass reached.
+// Custom machines (New set) are not the idealized architecture the pass
+// characterizes, so they report ok == false and are enumerated.
+func (e *Enumerator) DecideDRF0() (*core.ProgramReport, bool, error) {
+	if e.New != nil {
+		return nil, false, nil
+	}
+	pass, err := e.explorer().CheckSC(e.Prog, true)
+	if err != nil {
+		return nil, true, err
+	}
+	rep := &core.ProgramReport{Model: core.DRF0{}.Name(), Executions: pass.Stats.Finals}
+	if pass.Race != nil {
+		rep.Violations = []*core.Report{pass.Race}
+	}
+	return rep, true, nil
+}
 
 // IdealizedExecutions implements core.ExecutionEnumerator.
 func (e *Enumerator) IdealizedExecutions(fn func(*mem.Execution) bool) error {
-	x := e.Explorer
-	if x == nil {
-		x = &Explorer{}
-	}
-	sub := *x
+	sub := *e.explorer()
 	if sub.Mode < KeyExecution {
 		sub.Mode = KeyExecution
 	}
