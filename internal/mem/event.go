@@ -1,8 +1,11 @@
 package mem
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -220,7 +223,9 @@ func (r Result) Equal(o Result) bool {
 }
 
 // Key returns a canonical string for the result, usable as a map key when
-// collecting the set of distinct results of a program.
+// collecting the set of distinct results of a program: the reads ordered by
+// (processor, index) as "P<proc>.<index>=<value>;", a '|', then the final
+// memory ordered by address as "x<addr>=<value>;".
 func (r Result) Key() string {
 	type rk struct {
 		k ReadKey
@@ -230,11 +235,11 @@ func (r Result) Key() string {
 	for k, v := range r.Reads {
 		rs = append(rs, rk{k, v})
 	}
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].k.Proc != rs[j].k.Proc {
-			return rs[i].k.Proc < rs[j].k.Proc
+	slices.SortFunc(rs, func(x, y rk) int {
+		if c := cmp.Compare(x.k.Proc, y.k.Proc); c != 0 {
+			return c
 		}
-		return rs[i].k.Index < rs[j].k.Index
+		return cmp.Compare(x.k.Index, y.k.Index)
 	})
 	type fk struct {
 		a Addr
@@ -244,14 +249,24 @@ func (r Result) Key() string {
 	for a, v := range r.Final {
 		fs = append(fs, fk{a, v})
 	}
-	sort.Slice(fs, func(i, j int) bool { return fs[i].a < fs[j].a })
-	var b strings.Builder
+	slices.SortFunc(fs, func(x, y fk) int { return cmp.Compare(x.a, y.a) })
+	b := make([]byte, 0, 12*len(rs)+8*len(fs)+1)
 	for _, x := range rs {
-		fmt.Fprintf(&b, "P%d.%d=%d;", x.k.Proc, x.k.Index, x.v)
+		b = append(b, 'P')
+		b = strconv.AppendInt(b, int64(x.k.Proc), 10)
+		b = append(b, '.')
+		b = strconv.AppendInt(b, int64(x.k.Index), 10)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, int64(x.v), 10)
+		b = append(b, ';')
 	}
-	b.WriteByte('|')
+	b = append(b, '|')
 	for _, x := range fs {
-		fmt.Fprintf(&b, "x%d=%d;", x.a, x.v)
+		b = append(b, 'x')
+		b = strconv.AppendUint(b, uint64(x.a), 10)
+		b = append(b, '=')
+		b = strconv.AppendInt(b, int64(x.v), 10)
+		b = append(b, ';')
 	}
-	return b.String()
+	return string(b)
 }

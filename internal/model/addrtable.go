@@ -1,0 +1,131 @@
+package model
+
+import (
+	"cmp"
+	"encoding/binary"
+	"slices"
+
+	"weakorder/internal/mem"
+)
+
+// addrTable holds one V per memory location: a dense slice over the
+// program's static address universe (the sorted p.Addrs(), shared by every
+// table of every clone), plus a sorted overflow for register-computed
+// addresses outside it. A static location always has a slot; an overflow
+// location has one only once it is set, and reads as the zero V until then.
+type addrTable[V any] struct {
+	addrs []mem.Addr // the static universe, sorted; never written
+	dense []V        // dense[i] belongs to addrs[i]
+	extra []addrEntry[V]
+}
+
+// addrEntry is one overflow slot.
+type addrEntry[V any] struct {
+	addr mem.Addr
+	v    V
+}
+
+func newAddrTable[V any](addrs []mem.Addr) addrTable[V] {
+	return addrTable[V]{addrs: addrs, dense: make([]V, len(addrs))}
+}
+
+// extraSlot returns the index of a in the overflow, or where it would be
+// inserted, and whether it is present.
+func (t *addrTable[V]) extraSlot(a mem.Addr) (int, bool) {
+	return slices.BinarySearchFunc(t.extra, a, func(e addrEntry[V], a mem.Addr) int { return cmp.Compare(e.addr, a) })
+}
+
+// get returns the value at a; an unset overflow location reads as zero.
+func (t *addrTable[V]) get(a mem.Addr) V {
+	if i, ok := slices.BinarySearch(t.addrs, a); ok {
+		return t.dense[i]
+	}
+	if i, ok := t.extraSlot(a); ok {
+		return t.extra[i].v
+	}
+	var zero V
+	return zero
+}
+
+// set stores v at a, giving an overflow location its slot on first use.
+func (t *addrTable[V]) set(a mem.Addr, v V) {
+	if i, ok := slices.BinarySearch(t.addrs, a); ok {
+		t.dense[i] = v
+		return
+	}
+	if i, ok := t.extraSlot(a); ok {
+		t.extra[i].v = v
+	} else {
+		t.extra = slices.Insert(t.extra, i, addrEntry[V]{addr: a, v: v})
+	}
+}
+
+// len returns the number of slots: the static universe plus the overflow
+// locations set so far.
+func (t *addrTable[V]) len() int { return len(t.dense) + len(t.extra) }
+
+// at returns slot i in canonical order: the static universe in address
+// order, then the overflow in address order.
+func (t *addrTable[V]) at(i int) (mem.Addr, V) {
+	if i < len(t.dense) {
+		return t.addrs[i], t.dense[i]
+	}
+	e := t.extra[i-len(t.dense)]
+	return e.addr, e.v
+}
+
+// setAt stores v in slot i (see at).
+func (t *addrTable[V]) setAt(i int, v V) {
+	if i < len(t.dense) {
+		t.dense[i] = v
+	} else {
+		t.extra[i-len(t.dense)].v = v
+	}
+}
+
+// clone returns an independent copy. The values themselves are copied by
+// assignment, so a table of slices shares their backing arrays.
+func (t *addrTable[V]) clone() addrTable[V] {
+	c := addrTable[V]{addrs: t.addrs, dense: append([]V(nil), t.dense...)}
+	if len(t.extra) > 0 {
+		c.extra = append([]addrEntry[V](nil), t.extra...)
+	}
+	return c
+}
+
+// cloneTables copies a per-processor set of tables with their dense slots in
+// one allocation. Each dense slice is capped at its length, and tables never
+// append to it, so the clones cannot write into each other.
+func cloneTables[V any](ts []addrTable[V]) []addrTable[V] {
+	out := make([]addrTable[V], len(ts))
+	n := 0
+	for i := range ts {
+		n += len(ts[i].dense)
+	}
+	flat := make([]V, n)
+	for i := range ts {
+		t := &ts[i]
+		d := flat[:len(t.dense):len(t.dense)]
+		flat = flat[len(t.dense):]
+		copy(d, t.dense)
+		out[i] = addrTable[V]{addrs: t.addrs, dense: d}
+		if len(t.extra) > 0 {
+			out[i].extra = append([]addrEntry[V](nil), t.extra...)
+		}
+	}
+	return out
+}
+
+// appendMem canonically encodes a memory table: the static locations' values
+// in address order, then the count-prefixed overflow, sorted by address.
+func appendMem(key []byte, m *addrTable[mem.Value]) []byte {
+	for _, v := range m.dense {
+		key = binary.AppendVarint(key, int64(v))
+	}
+	key = binary.AppendUvarint(key, uint64(len(m.extra)))
+	for _, e := range m.extra {
+		key = binary.AppendUvarint(key, uint64(e.addr))
+		key = binary.AppendVarint(key, int64(e.v))
+	}
+	return key
+}

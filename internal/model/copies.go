@@ -3,7 +3,6 @@ package model
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"weakorder/internal/explore"
 	"weakorder/internal/mem"
@@ -29,8 +28,8 @@ type prop struct {
 // been invalidated.
 type copies struct {
 	nproc   int
-	data    []map[mem.Addr]mem.Value
-	stamp   []map[mem.Addr]int64 // per copy: commit seq of last applied write per addr
+	data    []addrTable[mem.Value]
+	stamp   []addrTable[int64] // per copy: commit seq of last applied write per addr
 	pending []prop
 	nextSeq int64
 	// outstanding counts, per source processor, propagations not yet
@@ -49,11 +48,11 @@ type copies struct {
 // globally performed) writes in the copies-based machines.
 const DefaultWindow = 8
 
-func newCopies(nproc int, init map[mem.Addr]mem.Value) *copies {
+func newCopies(nproc int, init addrTable[mem.Value]) *copies {
 	c := &copies{nproc: nproc, outstanding: make([]int, nproc), window: DefaultWindow}
 	for p := 0; p < nproc; p++ {
-		c.data = append(c.data, copyMem(init))
-		c.stamp = append(c.stamp, make(map[mem.Addr]int64))
+		c.data = append(c.data, init.clone())
+		c.stamp = append(c.stamp, newAddrTable[int64](init.addrs))
 	}
 	return c
 }
@@ -65,26 +64,19 @@ func (c *copies) canCommit(p int) bool {
 }
 
 func (c *copies) clone() *copies {
-	n := &copies{
+	return &copies{
 		nproc:       c.nproc,
+		data:        cloneTables(c.data),
+		stamp:       cloneTables(c.stamp),
 		pending:     append([]prop(nil), c.pending...),
 		nextSeq:     c.nextSeq,
 		outstanding: append([]int(nil), c.outstanding...),
 		window:      c.window,
 	}
-	for p := 0; p < c.nproc; p++ {
-		n.data = append(n.data, copyMem(c.data[p]))
-		st := make(map[mem.Addr]int64, len(c.stamp[p]))
-		for a, s := range c.stamp[p] {
-			st[a] = s
-		}
-		n.stamp = append(n.stamp, st)
-	}
-	return n
 }
 
 // read returns processor p's view of addr.
-func (c *copies) read(p int, a mem.Addr) mem.Value { return c.data[p][a] }
+func (c *copies) read(p int, a mem.Addr) mem.Value { return c.data[p].get(a) }
 
 // commitWrite commits a write by processor p: p's own copy updates
 // immediately; propagations to every other copy are enqueued. Returns the
@@ -92,8 +84,8 @@ func (c *copies) read(p int, a mem.Addr) mem.Value { return c.data[p][a] }
 func (c *copies) commitWrite(p int, a mem.Addr, v mem.Value) int64 {
 	c.nextSeq++
 	seq := c.nextSeq
-	c.data[p][a] = v
-	c.stamp[p][a] = seq
+	c.data[p].set(a, v)
+	c.stamp[p].set(a, seq)
 	for q := 0; q < c.nproc; q++ {
 		if q == p {
 			continue
@@ -110,8 +102,8 @@ func (c *copies) commitWrite(p int, a mem.Addr, v mem.Value) int64 {
 func (c *copies) atomicWrite(p int, a mem.Addr, v mem.Value) {
 	c.nextSeq++
 	for q := 0; q < c.nproc; q++ {
-		c.data[q][a] = v
-		c.stamp[q][a] = c.nextSeq
+		c.data[q].set(a, v)
+		c.stamp[q].set(a, c.nextSeq)
 	}
 }
 
@@ -138,9 +130,9 @@ func (c *copies) deliver(seq int64, dst int) error {
 			continue
 		}
 		c.pending = append(c.pending[:i], c.pending[i+1:]...)
-		if c.stamp[dst][m.addr] < m.seq {
-			c.data[dst][m.addr] = m.value
-			c.stamp[dst][m.addr] = m.seq
+		if c.stamp[dst].get(m.addr) < m.seq {
+			c.data[dst].set(m.addr, m.value)
+			c.stamp[dst].set(m.addr, m.seq)
 		}
 		c.outstanding[m.src]--
 		return nil
@@ -167,27 +159,24 @@ func (c *copies) allDrained() bool { return len(c.pending) == 0 }
 // The cross-group interleaving the list order records is not state; keeping
 // it out of the key makes commit steps of different processors commute at
 // the key level, which the partial-order reducer relies on.
-func (c *copies) appendKey(key []byte, addrs []mem.Addr) []byte {
-	for p := 0; p < c.nproc; p++ {
-		key = appendMem(key, addrs, c.data[p])
+func (c *copies) appendKey(key []byte) []byte {
+	for p := range c.data {
+		key = appendMem(key, &c.data[p])
 	}
 	key = append(key, 'P')
 	key = binary.AppendUvarint(key, uint64(len(c.pending)))
-	idx := make([]int, len(c.pending))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		x, y := c.pending[idx[a]], c.pending[idx[b]]
+	var buf [64]int32
+	idx := stableOrder(buf[:0], len(c.pending), func(a, b int32) bool {
+		x, y := &c.pending[a], &c.pending[b]
 		if x.dst != y.dst {
 			return x.dst < y.dst
 		}
 		return x.addr < y.addr
 	})
 	for _, i := range idx {
-		m := c.pending[i]
+		m := &c.pending[i]
 		live := byte(0)
-		if m.seq > c.stamp[m.dst][m.addr] {
+		if m.seq > c.stamp[m.dst].get(m.addr) {
 			live = 1
 		}
 		key = binary.AppendUvarint(key, uint64(m.src))

@@ -1,7 +1,8 @@
 package model
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"weakorder/internal/core"
 	"weakorder/internal/explore"
@@ -88,20 +89,22 @@ func (s *machineSystem) Steps() []explore.Step {
 	for i, t := range ts {
 		steps[i] = explore.Step{Kind: uint8(t.Kind), Proc: t.Proc, Aux: int64(t.Aux), Info: s.m.StepInfo(t)}
 	}
-	sort.SliceStable(steps, func(a, b int) bool {
-		x, y := steps[a], steps[b]
-		if x.Kind != y.Kind {
-			return x.Kind < y.Kind
-		}
-		if x.Proc != y.Proc {
-			return x.Proc < y.Proc
-		}
-		return x.Info.Addr < y.Info.Addr
-	})
+	slices.SortStableFunc(steps, compareSteps)
 	if s.race != nil {
 		s.race.observe(s.m, steps)
 	}
 	return steps
+}
+
+// compareSteps orders steps by (Kind, Proc, Addr).
+func compareSteps(x, y explore.Step) int {
+	if c := cmp.Compare(x.Kind, y.Kind); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.Proc, y.Proc); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.Info.Addr, y.Info.Addr)
 }
 
 func (s *machineSystem) Apply(t explore.Step) error {
@@ -116,7 +119,7 @@ func (s *machineSystem) Prune() bool {
 	if s.race != nil && s.race.halted() {
 		return true
 	}
-	return s.maxTraceOps > 0 && s.m.Trace().Len() > s.maxTraceOps
+	return s.maxTraceOps > 0 && s.m.TraceLen() > s.maxTraceOps
 }
 
 func (s *machineSystem) Footprints(buf []explore.AgentFootprints) []explore.AgentFootprints {

@@ -1,6 +1,8 @@
 package model
 
 import (
+	"slices"
+
 	"weakorder/internal/explore"
 	"weakorder/internal/mem"
 	"weakorder/internal/program"
@@ -13,24 +15,21 @@ import (
 // it with their dynamic half (buffered writes, in-flight messages, pending
 // propagations) in Footprints.
 type progFootprints struct {
-	// addrBit maps each address of the program's static universe to a dense
-	// bit index; nil when the universe exceeds 64 locations, in which case
-	// every footprint degrades to Wild (sound: merely unreduced).
-	addrBit map[mem.Addr]int
+	// addrs is the program's static universe, sorted: an address's dense bit
+	// index is its slot. Nil when the universe exceeds 64 locations, in which
+	// case every footprint degrades to Wild (sound: merely unreduced).
+	addrs []mem.Addr
 	// byPC[t][pc] is thread t's future footprint when its PC is pc.
 	byPC [][]explore.Footprint
 }
 
-func computeFootprints(p *program.Program) *progFootprints {
+func computeFootprints(p *program.Program, addrs []mem.Addr) *progFootprints {
 	f := &progFootprints{}
-	if addrs := p.Addrs(); len(addrs) <= 64 {
-		f.addrBit = make(map[mem.Addr]int, len(addrs))
-		for i, a := range addrs {
-			f.addrBit[a] = i
-		}
+	if len(addrs) <= 64 {
+		f.addrs = addrs
 	}
 	for _, code := range p.Threads {
-		f.byPC = append(f.byPC, fpByPC(code, f.addrBit))
+		f.byPC = append(f.byPC, fpByPC(code, f.addrs))
 	}
 	return f
 }
@@ -49,7 +48,7 @@ func orFP(dst *explore.Footprint, src explore.Footprint) {
 // control-flow graph (branches make it cyclic, so a single pass does not
 // suffice). Register-indexed addresses cannot be resolved statically and
 // degrade the footprint to Wild.
-func fpByPC(code program.Code, addrBit map[mem.Addr]int) []explore.Footprint {
+func fpByPC(code program.Code, addrs []mem.Addr) []explore.Footprint {
 	own := make([]explore.Footprint, len(code))
 	for i, in := range code {
 		op, ok := in.MemOp()
@@ -57,10 +56,11 @@ func fpByPC(code program.Code, addrBit map[mem.Addr]int) []explore.Footprint {
 			continue
 		}
 		fp := &own[i]
-		if in.UseAddrReg || addrBit == nil {
+		if in.UseAddrReg || addrs == nil {
 			fp.Wild = true
 		} else {
-			bit := uint64(1) << addrBit[in.Addr]
+			slot, _ := slices.BinarySearch(addrs, in.Addr)
+			bit := uint64(1) << slot
 			if op.Reads() {
 				fp.Reads |= bit
 			}
@@ -131,10 +131,7 @@ func (b *base) appendThreadFootprints(buf []explore.AgentFootprints) []explore.A
 // the address universe overflowed 64 locations or the address is outside the
 // static universe, in which case the caller must degrade to Wild.
 func (b *base) fpAddrBit(a mem.Addr) (uint64, bool) {
-	if b.fp.addrBit == nil {
-		return 0, false
-	}
-	i, ok := b.fp.addrBit[a]
+	i, ok := slices.BinarySearch(b.fp.addrs, a)
 	if !ok {
 		return 0, false
 	}

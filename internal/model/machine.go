@@ -28,9 +28,7 @@
 package model
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"weakorder/internal/explore"
 	"weakorder/internal/mem"
@@ -101,7 +99,8 @@ const (
 type Machine interface {
 	// Name identifies the model in reports and tables.
 	Name() string
-	// Clone returns an independent deep copy.
+	// Clone returns an independent copy. Its cost does not grow with the
+	// recorded history, which the copy shares (see histNode).
 	Clone() Machine
 	// Transitions lists the currently enabled transitions, deterministically
 	// ordered.
@@ -123,7 +122,12 @@ type Machine interface {
 	Result() mem.Result
 	// Trace returns the recorded execution so far: accesses in completion
 	// (commit) order. For the SC machine this is an idealized execution.
+	// Every call builds a fresh copy from the machine's shared history, so
+	// the caller owns the result; hot paths use TraceLen instead.
 	Trace() *mem.Execution
+	// TraceLen returns the number of recorded accesses, Trace().Len(),
+	// without building the execution.
+	TraceLen() int
 	// StepInfo classifies an enabled transition for partial-order reduction:
 	// which agent it belongs to and which single memory access it performs.
 	// Agents partition a machine's transitions so that a disabled transition
@@ -143,99 +147,54 @@ type base struct {
 	name    string
 	prog    *program.Program
 	threads []program.Thread
-	addrs   []mem.Addr
-	trace   *mem.Execution
-	// readLog holds, per processor, the sequence of values returned by its
-	// reads (dense in program-order op index of the reading ops).
-	readLog [][]readRec
-	// syncLog is the global commit order of synchronization operations.
-	syncLog []syncRec
+	// addrs is the program's static address universe, sorted: the dense
+	// slots of every addrTable. Shared by all clones, never written.
+	addrs []mem.Addr
+	// hist is the newest completed access (nil before the first); the
+	// execution history is the chain behind it, shared with every clone
+	// taken on the way. lastRead holds, per processor, its newest read.
+	hist     *histNode
+	lastRead []*histNode
 	// fp holds the immutable static footprints of the program, shared by all
 	// clones (cloneBase copies the pointer).
 	fp *progFootprints
 }
 
-type readRec struct {
-	opIndex int
-	value   mem.Value
-}
-
-type syncRec struct {
-	proc    int
-	opIndex int
-	addr    mem.Addr
-}
-
 func newBase(name string, p *program.Program) base {
 	b := base{
-		name:    name,
-		prog:    p,
-		addrs:   p.Addrs(),
-		trace:   mem.NewExecution(p.NumThreads()),
-		readLog: make([][]readRec, p.NumThreads()),
-		fp:      computeFootprints(p),
+		name:     name,
+		prog:     p,
+		addrs:    p.Addrs(),
+		lastRead: make([]*histNode, p.NumThreads()),
 	}
+	b.fp = computeFootprints(p, b.addrs)
 	for _, code := range p.Threads {
 		b.threads = append(b.threads, program.NewThread(code))
 	}
 	return b
 }
 
+// cloneBase copies the per-thread state; the history nodes are shared.
 func (b *base) cloneBase() base {
 	c := *b
 	c.threads = append([]program.Thread(nil), b.threads...)
-	c.readLog = make([][]readRec, len(b.readLog))
-	// One flat backing array for all per-proc read logs. Sub-slices get
-	// len == cap, so a log growing in the clone reallocates its own copy
-	// instead of stomping a sibling.
-	total := 0
-	for _, l := range b.readLog {
-		total += len(l)
-	}
-	if total > 0 {
-		flat := make([]readRec, total)
-		off := 0
-		for i, l := range b.readLog {
-			n := copy(flat[off:], l)
-			c.readLog[i] = flat[off : off+n : off+n]
-			off += n
-		}
-	}
-	c.syncLog = append([]syncRec(nil), b.syncLog...)
-	tr := *b.trace
-	tr.Events = append([]mem.Event(nil), b.trace.Events...)
-	tr.Completed = append([]mem.EventID(nil), b.trace.Completed...)
-	c.trace = &tr
+	c.lastRead = append([]*histNode(nil), b.lastRead...)
 	return c
+}
+
+// initialMemory returns the program's initial memory: every location of the
+// static universe holds its Init value (zero when absent).
+func (b *base) initialMemory() addrTable[mem.Value] {
+	t := newAddrTable[mem.Value](b.addrs)
+	for i, a := range b.addrs {
+		t.dense[i] = b.prog.Init[a]
+	}
+	return t
 }
 
 // pending returns the published request of thread p, running local code.
 func (b *base) pending(p int) (program.Request, bool, error) {
 	return b.threads[p].Pending()
-}
-
-// record appends a completed access to the trace and logs. opIdx is the
-// access's program-order index on its processor; machines that complete
-// operations out of program order (e.g. a write draining from a buffer after
-// later reads resolved) must capture it at issue time.
-func (b *base) record(p, opIdx int, req program.Request, readVal, writeVal mem.Value) {
-	a := mem.Access{Proc: mem.ProcID(p), Op: req.Op, Addr: req.Addr}
-	switch {
-	case req.Op == mem.OpSyncRMW:
-		a.Value = readVal
-		a.WValue = writeVal
-	case req.Op.Writes():
-		a.Value = writeVal
-	default:
-		a.Value = readVal
-	}
-	b.trace.AppendAt(a, opIdx)
-	if req.Op.Reads() {
-		b.readLog[p] = append(b.readLog[p], readRec{opIndex: opIdx, value: readVal})
-	}
-	if req.Op.IsSync() {
-		b.syncLog = append(b.syncLog, syncRec{proc: p, opIndex: opIdx, addr: req.Addr})
-	}
 }
 
 // resolve completes thread p's pending op, recording it at its current
@@ -261,110 +220,53 @@ func (b *base) threadsDone() bool {
 // tests and debugging; hot paths call AppendKey with a reused buffer.
 func Key(m Machine, mode KeyMode) string { return string(m.AppendKey(mode, nil)) }
 
-// appendKeyBase encodes the thread states plus, per mode, read and sync
-// history. Thread snapshots are self-delimiting varint sequences and the
-// variable-length logs are count-prefixed, so the whole encoding is
-// prefix-free for a fixed program.
-func (b *base) appendKeyBase(mode KeyMode, key []byte) []byte {
-	for i := range b.threads {
-		key = b.threads[i].AppendSnapshot(key)
-	}
-	if mode >= KeyResult {
-		key = append(key, 'R')
-		for _, log := range b.readLog {
-			key = binary.AppendUvarint(key, uint64(len(log)))
-			for _, r := range log {
-				key = binary.AppendUvarint(key, uint64(r.opIndex))
-				key = binary.AppendVarint(key, int64(r.value))
-			}
+// stableOrder returns the indices 0..n-1 stably sorted by less, built in idx
+// (a caller's stack buffer, so keying a state allocates nothing). It is an
+// insertion sort: the lists it orders hold a few dozen entries at most.
+func stableOrder(idx []int32, n int, less func(a, b int32) bool) []int32 {
+	idx = idx[:0]
+	for i := 0; i < n; i++ {
+		idx = append(idx, int32(i))
+		for j := len(idx) - 1; j > 0 && less(idx[j], idx[j-1]); j-- {
+			idx[j], idx[j-1] = idx[j-1], idx[j]
 		}
 	}
-	if mode >= KeyExecution {
-		key = append(key, 'S')
-		key = binary.AppendUvarint(key, uint64(len(b.syncLog)))
-		for _, s := range b.syncLog {
-			key = binary.AppendUvarint(key, uint64(s.proc))
-			key = binary.AppendUvarint(key, uint64(s.opIndex))
-			key = binary.AppendUvarint(key, uint64(s.addr))
-		}
-	}
-	return key
-}
-
-// appendMem canonically encodes a memory map over the known address universe.
-func appendMem(key []byte, addrs []mem.Addr, m map[mem.Addr]mem.Value) []byte {
-	for _, a := range addrs {
-		key = binary.AppendVarint(key, int64(m[a]))
-	}
-	// Addresses outside the static universe (register-indexed accesses) are
-	// appended sorted, count-prefixed.
-	var extra []mem.Addr
-	for a := range m {
-		if !containsAddr(addrs, a) {
-			extra = append(extra, a)
-		}
-	}
-	sort.Slice(extra, func(i, j int) bool { return extra[i] < extra[j] })
-	key = binary.AppendUvarint(key, uint64(len(extra)))
-	for _, a := range extra {
-		key = binary.AppendUvarint(key, uint64(a))
-		key = binary.AppendVarint(key, int64(m[a]))
-	}
-	return key
-}
-
-func containsAddr(addrs []mem.Addr, a mem.Addr) bool {
-	i := sort.Search(len(addrs), func(i int) bool { return addrs[i] >= a })
-	return i < len(addrs) && addrs[i] == a
+	return idx
 }
 
 // finalState assembles registers plus the supplied memory view.
-func (b *base) finalState(memory map[mem.Addr]mem.Value) *program.FinalState {
-	fs := &program.FinalState{Mem: make(map[mem.Addr]mem.Value, len(memory))}
+func (b *base) finalState(memory *addrTable[mem.Value]) *program.FinalState {
+	fs := &program.FinalState{Mem: make(map[mem.Addr]mem.Value, memory.len())}
 	for i := range b.threads {
 		fs.Regs = append(fs.Regs, b.threads[i].Regs)
 	}
-	for a, v := range memory {
+	for i := 0; i < memory.len(); i++ {
+		a, v := memory.at(i)
 		fs.Mem[a] = v
 	}
 	return fs
 }
 
-// result assembles the paper's Result from the read log and a memory view.
-func (b *base) result(memory map[mem.Addr]mem.Value) mem.Result {
-	r := mem.Result{Reads: make(map[mem.ReadKey]mem.Value), Final: make(map[mem.Addr]mem.Value, len(memory))}
-	for p, log := range b.readLog {
-		for _, rr := range log {
-			r.Reads[mem.ReadKey{Proc: mem.ProcID(p), Index: rr.opIndex}] = rr.value
+// result assembles the paper's Result from the read history and a memory
+// view.
+func (b *base) result(memory *addrTable[mem.Value]) mem.Result {
+	reads := 0
+	for _, rd := range b.lastRead {
+		if rd != nil {
+			reads += rd.reads
 		}
 	}
-	for a, v := range memory {
+	r := mem.Result{Reads: make(map[mem.ReadKey]mem.Value, reads), Final: make(map[mem.Addr]mem.Value, memory.len())}
+	for p, rd := range b.lastRead {
+		for ; rd != nil; rd = rd.prevRead {
+			r.Reads[mem.ReadKey{Proc: mem.ProcID(p), Index: rd.opIndex}] = rd.acc.Value
+		}
+	}
+	for i := 0; i < memory.len(); i++ {
+		a, v := memory.at(i)
 		r.Final[a] = v
 	}
 	return r
 }
 
-func (b *base) Name() string          { return b.name }
-func (b *base) Trace() *mem.Execution { return b.trace }
-
-// copyMem deep-copies a memory map.
-func copyMem(m map[mem.Addr]mem.Value) map[mem.Addr]mem.Value {
-	c := make(map[mem.Addr]mem.Value, len(m))
-	for a, v := range m {
-		c[a] = v
-	}
-	return c
-}
-
-// initMem builds the initial memory of a program over its address universe,
-// so every statically known location is present (defaulting to zero).
-func initMem(p *program.Program) map[mem.Addr]mem.Value {
-	m := make(map[mem.Addr]mem.Value)
-	for _, a := range p.Addrs() {
-		m[a] = 0
-	}
-	for a, v := range p.Init {
-		m[a] = v
-	}
-	return m
-}
+func (b *base) Name() string { return b.name }

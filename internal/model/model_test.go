@@ -350,8 +350,8 @@ thread:
 	x := &Explorer{}
 	_, err := x.Visit(NewNonAtomic(p), func(f Machine) bool {
 		na := f.(*NonAtomic)
-		v0 := na.c.data[0][mem.Addr(0)]
-		v1 := na.c.data[1][mem.Addr(0)]
+		v0 := na.c.data[0].get(mem.Addr(0))
+		v1 := na.c.data[1].get(mem.Addr(0))
 		if v0 != v1 {
 			t.Errorf("copies diverge after drain: %d vs %d", v0, v1)
 		}

@@ -3,7 +3,6 @@ package model
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"weakorder/internal/explore"
 	"weakorder/internal/mem"
@@ -33,7 +32,7 @@ type netMsg struct {
 // only when it has nothing in flight, and it executes atomically at memory.
 type Network struct {
 	base
-	memory   map[mem.Addr]mem.Value
+	memory   addrTable[mem.Value]
 	inflight []netMsg
 	nextSeq  int
 	// waiting marks processors blocked on an in-flight read.
@@ -42,18 +41,19 @@ type Network struct {
 
 // NewNetwork builds the machine.
 func NewNetwork(p *program.Program) *Network {
-	return &Network{
+	m := &Network{
 		base:    newBase("network-nocache", p),
-		memory:  initMem(p),
 		waiting: make([]bool, p.NumThreads()),
 	}
+	m.memory = m.initialMemory()
+	return m
 }
 
 // Clone implements Machine.
 func (m *Network) Clone() Machine {
 	return &Network{
 		base:     m.cloneBase(),
-		memory:   copyMem(m.memory),
+		memory:   m.memory.clone(),
 		inflight: append([]netMsg(nil), m.inflight...),
 		nextSeq:  m.nextSeq,
 		waiting:  append([]bool(nil), m.waiting...),
@@ -85,7 +85,7 @@ func (m *Network) hasInflight(p int) bool {
 
 // Transitions implements Machine.
 func (m *Network) Transitions() []Transition {
-	var ts []Transition
+	ts := make([]Transition, 0, len(m.inflight)+len(m.threads))
 	for i := range m.inflight {
 		if m.deliverable(i) {
 			ts = append(ts, Transition{Kind: TDeliver, Proc: m.inflight[i].proc, Aux: m.inflight[i].seq})
@@ -145,14 +145,14 @@ func (m *Network) Apply(t Transition) error {
 		msg := m.inflight[i]
 		m.inflight = append(m.inflight[:i], m.inflight[i+1:]...)
 		if msg.isRead {
-			v := m.memory[msg.addr]
+			v := m.memory.get(msg.addr)
 			req := program.Request{Op: mem.OpRead, Addr: msg.addr}
 			m.record(msg.proc, msg.opIndex, req, v, 0)
 			m.waiting[msg.proc] = false
 			m.threads[msg.proc].Resolve(v)
 			return nil
 		}
-		m.memory[msg.addr] = msg.value
+		m.memory.set(msg.addr, msg.value)
 		m.record(msg.proc, msg.opIndex, program.Request{Op: mem.OpWrite, Addr: msg.addr, Data: msg.value}, 0, msg.value)
 		return nil
 	case TExec:
@@ -187,11 +187,11 @@ func (m *Network) Apply(t Transition) error {
 			if m.hasInflight(t.Proc) {
 				return fmt.Errorf("network: sync op on P%d with messages in flight", t.Proc)
 			}
-			old := m.memory[req.Addr]
+			old := m.memory.get(req.Addr)
 			var wv mem.Value
 			if req.Op.Writes() {
 				wv = req.NewValue(old)
-				m.memory[req.Addr] = wv
+				m.memory.set(req.Addr, wv)
 			}
 			m.resolve(t.Proc, req, old, wv)
 			return nil
@@ -208,7 +208,7 @@ func (m *Network) Done() bool { return len(m.inflight) == 0 && m.threadsDone() }
 func (m *Network) AppendKey(mode KeyMode, key []byte) []byte {
 	key = m.appendKeyBase(mode, key)
 	key = append(key, 'M')
-	key = appendMem(key, m.addrs, m.memory)
+	key = appendMem(key, &m.memory)
 	key = append(key, 'F')
 	key = binary.AppendUvarint(key, uint64(len(m.inflight)))
 	// Canonical grouped encoding: messages sorted by (proc, addr) with the
@@ -217,12 +217,9 @@ func (m *Network) AppendKey(mode KeyMode, key []byte) []byte {
 	// compares messages across groups — so the cross-group interleaving the
 	// list order records is not state and must not reach the key, or issue
 	// steps of different processors would fail to commute at the key level.
-	idx := make([]int, len(m.inflight))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		x, y := m.inflight[idx[a]], m.inflight[idx[b]]
+	var buf [64]int32
+	idx := stableOrder(buf[:0], len(m.inflight), func(a, b int32) bool {
+		x, y := &m.inflight[a], &m.inflight[b]
 		if x.proc != y.proc {
 			return x.proc < y.proc
 		}
@@ -287,7 +284,7 @@ func (m *Network) Footprints(buf []explore.AgentFootprints) []explore.AgentFootp
 }
 
 // Final implements Machine.
-func (m *Network) Final() *program.FinalState { return m.finalState(m.memory) }
+func (m *Network) Final() *program.FinalState { return m.finalState(&m.memory) }
 
 // Result implements Machine.
-func (m *Network) Result() mem.Result { return m.result(m.memory) }
+func (m *Network) Result() mem.Result { return m.result(&m.memory) }

@@ -23,10 +23,8 @@ type NonAtomic struct {
 
 // NewNonAtomic builds the machine.
 func NewNonAtomic(p *program.Program) *NonAtomic {
-	return &NonAtomic{
-		base: newBase("network+cache-nonatomic", p),
-		c:    newCopies(p.NumThreads(), initMem(p)),
-	}
+	b := newBase("network+cache-nonatomic", p)
+	return &NonAtomic{base: b, c: newCopies(p.NumThreads(), b.initialMemory())}
 }
 
 // Clone implements Machine.
@@ -36,7 +34,7 @@ func (m *NonAtomic) Clone() Machine {
 
 // Transitions implements Machine.
 func (m *NonAtomic) Transitions() []Transition {
-	var ts []Transition
+	ts := make([]Transition, 0, len(m.c.pending)+len(m.threads))
 	for i := range m.c.pending {
 		if m.c.deliverable(i) {
 			ts = append(ts, Transition{Kind: TDeliver, Proc: m.c.pending[i].dst, Aux: int(m.c.pending[i].seq)})
@@ -87,7 +85,7 @@ func (m *NonAtomic) Done() bool { return m.c.allDrained() && m.threadsDone() }
 // AppendKey implements Machine.
 func (m *NonAtomic) AppendKey(mode KeyMode, key []byte) []byte {
 	key = m.appendKeyBase(mode, key)
-	return m.c.appendKey(key, m.addrs)
+	return m.c.appendKey(key)
 }
 
 // StepInfo implements Machine: deliveries act for the source processor (see
@@ -119,7 +117,7 @@ func (m *NonAtomic) Footprints(buf []explore.AgentFootprints) []explore.AgentFoo
 
 // Final implements Machine: once drained all copies agree; processor 0's copy
 // is the canonical final memory.
-func (m *NonAtomic) Final() *program.FinalState { return m.finalState(m.c.data[0]) }
+func (m *NonAtomic) Final() *program.FinalState { return m.finalState(&m.c.data[0]) }
 
 // Result implements Machine.
-func (m *NonAtomic) Result() mem.Result { return m.result(m.c.data[0]) }
+func (m *NonAtomic) Result() mem.Result { return m.result(&m.c.data[0]) }

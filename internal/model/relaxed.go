@@ -3,7 +3,6 @@ package model
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"weakorder/internal/explore"
 	"weakorder/internal/mem"
@@ -56,18 +55,22 @@ const (
 type Relaxed struct {
 	base
 	mode   relaxMode
-	memory map[mem.Addr]mem.Value
+	memory addrTable[mem.Value]
 	// buffers holds each processor's pending stores in issue order. TSO
 	// retires strictly FIFO; PSO/RMO retire FIFO per address only.
 	buffers [][]wbEntry
 	// hist (RMO only) is the per-location value history: hist[a][0] is the
 	// oldest version still observable by some processor and the last entry
-	// always equals memory[a]. Entries below every cursor are pruned.
-	hist map[mem.Addr][]mem.Value
+	// always equals memory[a]. Entries below every cursor are pruned. Every
+	// static location has a history; an overflow location gets one when it
+	// is first read or written. Clones share the histories' arrays, so a
+	// history is never written in place: appends reallocate, and pruning
+	// reslices.
+	hist addrTable[[]mem.Value]
 	// seen (RMO only) is each processor's cursor: the index into hist[a] of
 	// the newest version of a it has observed. Reads choose any index >=
 	// seen[p][a].
-	seen []map[mem.Addr]int
+	seen []addrTable[int]
 }
 
 // NewTSO builds the total-store-order machine.
@@ -83,17 +86,16 @@ func newRelaxed(p *program.Program, mode relaxMode, name string) *Relaxed {
 	m := &Relaxed{
 		base:    newBase(name, p),
 		mode:    mode,
-		memory:  initMem(p),
 		buffers: make([][]wbEntry, p.NumThreads()),
 	}
+	m.memory = m.initialMemory()
 	if mode == relaxRMO {
-		m.hist = make(map[mem.Addr][]mem.Value)
-		m.seen = make([]map[mem.Addr]int, p.NumThreads())
-		for i := range m.seen {
-			m.seen[i] = make(map[mem.Addr]int)
+		m.hist = newAddrTable[[]mem.Value](m.addrs)
+		for i, v := range m.memory.dense {
+			m.hist.dense[i] = []mem.Value{v}
 		}
-		for _, a := range m.addrs {
-			m.hist[a] = []mem.Value{m.memory[a]}
+		for range m.threads {
+			m.seen = append(m.seen, newAddrTable[int](m.addrs))
 		}
 	}
 	return m
@@ -104,37 +106,26 @@ func (m *Relaxed) Clone() Machine {
 	c := &Relaxed{
 		base:    m.cloneBase(),
 		mode:    m.mode,
-		memory:  copyMem(m.memory),
-		buffers: make([][]wbEntry, len(m.buffers)),
-	}
-	for i, b := range m.buffers {
-		c.buffers[i] = append([]wbEntry(nil), b...)
+		memory:  m.memory.clone(),
+		buffers: cloneBuffers(m.buffers),
 	}
 	if m.mode == relaxRMO {
-		c.hist = make(map[mem.Addr][]mem.Value, len(m.hist))
-		for a, h := range m.hist {
-			c.hist[a] = append([]mem.Value(nil), h...)
-		}
-		c.seen = make([]map[mem.Addr]int, len(m.seen))
-		for p, s := range m.seen {
-			c.seen[p] = make(map[mem.Addr]int, len(s))
-			for a, i := range s {
-				c.seen[p][a] = i
-			}
-		}
+		c.hist = m.hist.clone()
+		c.seen = cloneTables(m.seen)
 	}
 	return c
 }
 
-// ensureHist makes sure a history exists for addr (register-indexed accesses
-// can reach locations outside the static universe).
-func (m *Relaxed) ensureHist(a mem.Addr) {
-	if _, ok := m.hist[a]; !ok {
-		m.hist[a] = []mem.Value{m.memory[a]}
-		for p := range m.seen {
-			m.seen[p][a] = 0
-		}
+// ensureHist returns the history of a, creating it for an overflow location
+// (register-indexed accesses can reach locations outside the static
+// universe). Every cursor of a new history reads as 0.
+func (m *Relaxed) ensureHist(a mem.Addr) []mem.Value {
+	h := m.hist.get(a)
+	if len(h) == 0 {
+		h = []mem.Value{m.memory.get(a)}
+		m.hist.set(a, h)
 	}
+	return h
 }
 
 // commit applies one retired or atomic write to memory, extending the RMO
@@ -144,41 +135,37 @@ func (m *Relaxed) ensureHist(a mem.Addr) {
 // extends no history — without this collapse a spin loop of failed
 // TestAndSets would grow the history (and the state space) without bound.
 func (m *Relaxed) commit(p int, a mem.Addr, v mem.Value) {
-	m.memory[a] = v
+	m.memory.set(a, v)
 	if m.mode != relaxRMO {
 		return
 	}
-	m.ensureHist(a)
-	if h := m.hist[a]; v != h[len(h)-1] {
-		m.hist[a] = append(h, v)
+	h := m.ensureHist(a)
+	if v != h[len(h)-1] {
+		// Capped, so the append reallocates rather than write into an
+		// array a clone shares.
+		h = append(h[:len(h):len(h)], v)
+		m.hist.set(a, h)
 	}
-	m.seen[p][a] = len(m.hist[a]) - 1
+	m.seen[p].set(a, len(h)-1)
 	m.pruneHist(a)
 }
 
 // pruneHist drops history entries of a below every cursor; they can never be
 // observed again, and keeping them would make equivalent states key-distinct.
 func (m *Relaxed) pruneHist(a mem.Addr) {
-	min := len(m.hist[a]) - 1
+	h := m.hist.get(a)
+	min := len(h) - 1
 	for p := range m.seen {
-		s, ok := m.seen[p][a]
-		if !ok {
-			s = 0
-		}
-		if s < min {
+		if s := m.seen[p].get(a); s < min {
 			min = s
 		}
 	}
 	if min <= 0 {
 		return
 	}
-	m.hist[a] = m.hist[a][min:]
+	m.hist.set(a, h[min:])
 	for p := range m.seen {
-		if s, ok := m.seen[p][a]; ok {
-			m.seen[p][a] = s - min
-		} else {
-			m.seen[p][a] = 0
-		}
+		m.seen[p].set(a, m.seen[p].get(a)-min)
 	}
 }
 
@@ -214,7 +201,7 @@ func (m *Relaxed) forwardFrom(p int, a mem.Addr) (mem.Value, bool) {
 // other transitions use Aux 0 (TSO drains) or the drained address (PSO/RMO
 // drains), so key-equal states enumerate identical step lists.
 func (m *Relaxed) Transitions() []Transition {
-	var ts []Transition
+	ts := make([]Transition, 0, 2*len(m.threads))
 	for p := range m.threads {
 		switch m.mode {
 		case relaxTSO:
@@ -222,10 +209,8 @@ func (m *Relaxed) Transitions() []Transition {
 				ts = append(ts, Transition{Kind: TDrain, Proc: p})
 			}
 		default:
-			emitted := make(map[mem.Addr]bool)
-			for _, e := range m.buffers[p] {
-				if !emitted[e.addr] {
-					emitted[e.addr] = true
+			for i, e := range m.buffers[p] {
+				if m.drainIndex(p, e.addr) == i {
 					ts = append(ts, Transition{Kind: TDrain, Proc: p, Aux: int(e.addr)})
 				}
 			}
@@ -254,9 +239,9 @@ func (m *Relaxed) Transitions() []Transition {
 				ts = append(ts, Transition{Kind: TExec, Proc: p})
 				continue
 			}
-			m.ensureHist(req.Addr)
-			base := m.seen[p][req.Addr]
-			for off := 0; off < len(m.hist[req.Addr])-base; off++ {
+			h := m.ensureHist(req.Addr)
+			base := m.seen[p].get(req.Addr)
+			for off := 0; off < len(h)-base; off++ {
 				ts = append(ts, Transition{Kind: TExec, Proc: p, Aux: off})
 			}
 		}
@@ -298,16 +283,16 @@ func (m *Relaxed) Apply(t Transition) error {
 				return nil
 			}
 			if m.mode != relaxRMO {
-				m.resolve(t.Proc, req, m.memory[req.Addr], 0)
+				m.resolve(t.Proc, req, m.memory.get(req.Addr), 0)
 				return nil
 			}
-			m.ensureHist(req.Addr)
-			idx := m.seen[t.Proc][req.Addr] + t.Aux
-			if idx < 0 || idx >= len(m.hist[req.Addr]) {
+			h := m.ensureHist(req.Addr)
+			idx := m.seen[t.Proc].get(req.Addr) + t.Aux
+			if idx < 0 || idx >= len(h) {
 				return fmt.Errorf("rmo: P%d read of x%d with out-of-range version offset %d", t.Proc, req.Addr, t.Aux)
 			}
-			v := m.hist[req.Addr][idx]
-			m.seen[t.Proc][req.Addr] = idx
+			v := h[idx]
+			m.seen[t.Proc].set(req.Addr, idx)
 			m.pruneHist(req.Addr)
 			m.resolve(t.Proc, req, v, 0)
 			return nil
@@ -315,7 +300,7 @@ func (m *Relaxed) Apply(t Transition) error {
 			if len(m.buffers[t.Proc]) > 0 {
 				return fmt.Errorf("%s: sync op with non-empty buffer on P%d", m.name, t.Proc)
 			}
-			old := m.memory[req.Addr]
+			old := m.memory.get(req.Addr)
 			var wv mem.Value
 			if req.Op.Writes() {
 				wv = req.NewValue(old)
@@ -324,8 +309,9 @@ func (m *Relaxed) Apply(t Transition) error {
 			if m.mode == relaxRMO {
 				// The fence half: discard every stale view, so accesses after
 				// the sync cannot appear to have executed before it.
-				for a, h := range m.hist {
-					m.seen[t.Proc][a] = len(h) - 1
+				for i := 0; i < m.hist.len(); i++ {
+					a, h := m.hist.at(i)
+					m.seen[t.Proc].set(a, len(h)-1)
 					m.pruneHist(a)
 				}
 			}
@@ -350,20 +336,6 @@ func (m *Relaxed) Done() bool {
 	return true
 }
 
-// histAddrs returns every location with a history, static universe first,
-// extras sorted — the canonical iteration order for key encoding.
-func (m *Relaxed) histAddrs() []mem.Addr {
-	out := append([]mem.Addr(nil), m.addrs...)
-	var extra []mem.Addr
-	for a := range m.hist {
-		if !containsAddr(m.addrs, a) {
-			extra = append(extra, a)
-		}
-	}
-	sort.Slice(extra, func(i, j int) bool { return extra[i] < extra[j] })
-	return append(out, extra...)
-}
-
 // AppendKey implements Machine. PSO/RMO buffers are encoded grouped by
 // address (stable, preserving per-address FIFO order): the cross-address
 // interleaving of a PSO buffer is not semantic state — drains, forwarding and
@@ -374,13 +346,20 @@ func (m *Relaxed) histAddrs() []mem.Addr {
 func (m *Relaxed) AppendKey(mode KeyMode, key []byte) []byte {
 	key = m.appendKeyBase(mode, key)
 	key = append(key, 'M')
-	key = appendMem(key, m.addrs, m.memory)
+	key = appendMem(key, &m.memory)
 	key = append(key, 'B')
 	for p := range m.buffers {
 		b := m.buffers[p]
 		if m.mode != relaxTSO && len(b) > 1 {
-			b = append([]wbEntry(nil), b...)
-			sort.SliceStable(b, func(i, j int) bool { return b[i].addr < b[j].addr })
+			// A stable insertion sort of a stack copy: the buffer holds
+			// at most bufferDepth entries.
+			var sorted [bufferDepth]wbEntry
+			b = append(sorted[:0], b...)
+			for i := 1; i < len(b); i++ {
+				for j := i; j > 0 && b[j].addr < b[j-1].addr; j-- {
+					b[j], b[j-1] = b[j-1], b[j]
+				}
+			}
 		}
 		key = binary.AppendUvarint(key, uint64(len(b)))
 		for _, e := range b {
@@ -391,21 +370,16 @@ func (m *Relaxed) AppendKey(mode KeyMode, key []byte) []byte {
 	}
 	if m.mode == relaxRMO {
 		key = append(key, 'H')
-		addrs := m.histAddrs()
-		key = binary.AppendUvarint(key, uint64(len(addrs)))
-		for _, a := range addrs {
-			h := m.hist[a]
+		key = binary.AppendUvarint(key, uint64(m.hist.len()))
+		for i := 0; i < m.hist.len(); i++ {
+			a, h := m.hist.at(i)
 			key = binary.AppendUvarint(key, uint64(a))
 			key = binary.AppendUvarint(key, uint64(len(h)))
 			for _, v := range h {
 				key = binary.AppendVarint(key, int64(v))
 			}
 			for p := range m.seen {
-				s, ok := m.seen[p][a]
-				if !ok {
-					s = 0
-				}
-				key = binary.AppendUvarint(key, uint64(s))
+				key = binary.AppendUvarint(key, uint64(m.seen[p].get(a)))
 			}
 		}
 	}
@@ -466,7 +440,7 @@ func (m *Relaxed) Footprints(buf []explore.AgentFootprints) []explore.AgentFootp
 }
 
 // Final implements Machine.
-func (m *Relaxed) Final() *program.FinalState { return m.finalState(m.memory) }
+func (m *Relaxed) Final() *program.FinalState { return m.finalState(&m.memory) }
 
 // Result implements Machine.
-func (m *Relaxed) Result() mem.Result { return m.result(m.memory) }
+func (m *Relaxed) Result() mem.Result { return m.result(&m.memory) }

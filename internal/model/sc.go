@@ -14,17 +14,19 @@ import (
 // the reference outcome set behind Definition 2.
 type SC struct {
 	base
-	memory map[mem.Addr]mem.Value
+	memory addrTable[mem.Value]
 }
 
 // NewSC builds an SC machine for the program.
 func NewSC(p *program.Program) *SC {
-	return &SC{base: newBase("SC", p), memory: initMem(p)}
+	m := &SC{base: newBase("SC", p)}
+	m.memory = m.initialMemory()
+	return m
 }
 
 // Clone implements Machine.
 func (m *SC) Clone() Machine {
-	return &SC{base: m.cloneBase(), memory: copyMem(m.memory)}
+	return &SC{base: m.cloneBase(), memory: m.memory.clone()}
 }
 
 // Transitions implements Machine: any thread with a pending memory operation
@@ -51,11 +53,11 @@ func (m *SC) Apply(t Transition) error {
 	if !ok {
 		return fmt.Errorf("SC: P%d has no pending operation", t.Proc)
 	}
-	old := m.memory[req.Addr]
+	old := m.memory.get(req.Addr)
 	var wv mem.Value
 	if req.Op.Writes() {
 		wv = req.NewValue(old)
-		m.memory[req.Addr] = wv
+		m.memory.set(req.Addr, wv)
 	}
 	m.resolve(t.Proc, req, old, wv)
 	return nil
@@ -68,7 +70,7 @@ func (m *SC) Done() bool { return m.threadsDone() }
 func (m *SC) AppendKey(mode KeyMode, key []byte) []byte {
 	key = m.appendKeyBase(mode, key)
 	key = append(key, 'M')
-	return appendMem(key, m.addrs, m.memory)
+	return appendMem(key, &m.memory)
 }
 
 // StepInfo implements Machine: every transition is one atomic access by the
@@ -83,7 +85,7 @@ func (m *SC) Footprints(buf []explore.AgentFootprints) []explore.AgentFootprints
 }
 
 // Final implements Machine.
-func (m *SC) Final() *program.FinalState { return m.finalState(m.memory) }
+func (m *SC) Final() *program.FinalState { return m.finalState(&m.memory) }
 
 // Result implements Machine.
-func (m *SC) Result() mem.Result { return m.result(m.memory) }
+func (m *SC) Result() mem.Result { return m.result(&m.memory) }

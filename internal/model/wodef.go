@@ -3,7 +3,6 @@ package model
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"weakorder/internal/explore"
 	"weakorder/internal/mem"
@@ -48,10 +47,10 @@ type WeakOrdered struct {
 	base
 	c    *copies
 	mode woMode
-	// resv maps a synchronization location to the processor holding its
-	// reservation (-1 when none). A reservation is released when the
+	// resv holds, per synchronization location, 1 + the processor holding
+	// its reservation, or 0 when none. A reservation is released when the
 	// holder's outstanding counter reads zero; release is evaluated lazily.
-	resv map[mem.Addr]int
+	resv addrTable[int]
 }
 
 // NewWODef1 builds a Definition-1 weakly ordered machine.
@@ -80,34 +79,31 @@ func NewWODef2NoReserve(p *program.Program) *WeakOrdered {
 func NewFence(p *program.Program) *WeakOrdered { return newWO(p, modeDef1, "RP3-fence") }
 
 func newWO(p *program.Program, mode woMode, name string) *WeakOrdered {
+	b := newBase(name, p)
 	return &WeakOrdered{
-		base: newBase(name, p),
-		c:    newCopies(p.NumThreads(), initMem(p)),
+		base: b,
+		c:    newCopies(p.NumThreads(), b.initialMemory()),
 		mode: mode,
-		resv: make(map[mem.Addr]int),
+		resv: newAddrTable[int](b.addrs),
 	}
 }
 
 // Clone implements Machine.
 func (m *WeakOrdered) Clone() Machine {
-	r := make(map[mem.Addr]int, len(m.resv))
-	for a, p := range m.resv {
-		r[a] = p
-	}
-	return &WeakOrdered{base: m.cloneBase(), c: m.c.clone(), mode: m.mode, resv: r}
+	return &WeakOrdered{base: m.cloneBase(), c: m.c.clone(), mode: m.mode, resv: m.resv.clone()}
 }
 
 // reserver returns the processor effectively holding a reservation on a, or
 // -1: a recorded reservation whose holder has drained is already released.
-func (m *WeakOrdered) reserver(a mem.Addr) int {
-	p, ok := m.resv[a]
-	if !ok || p < 0 {
+func (m *WeakOrdered) reserver(a mem.Addr) int { return m.holder(m.resv.get(a)) }
+
+// holder decodes a reservation slot: the processor holding it, or -1 when
+// the slot is empty or its holder has drained.
+func (m *WeakOrdered) holder(slot int) int {
+	if slot == 0 || m.c.drained(slot-1) {
 		return -1
 	}
-	if m.c.drained(p) {
-		return -1
-	}
-	return p
+	return slot - 1
 }
 
 // syncEnabled reports whether processor p may commit its pending
@@ -129,7 +125,7 @@ func (m *WeakOrdered) syncEnabled(p int, req program.Request) bool {
 
 // Transitions implements Machine.
 func (m *WeakOrdered) Transitions() []Transition {
-	var ts []Transition
+	ts := make([]Transition, 0, len(m.c.pending)+len(m.threads))
 	for i := range m.c.pending {
 		if m.c.deliverable(i) {
 			ts = append(ts, Transition{Kind: TDeliver, Proc: m.c.pending[i].dst, Aux: int(m.c.pending[i].seq)})
@@ -167,9 +163,9 @@ func (m *WeakOrdered) Apply(t Transition) error {
 		// keys (the 'V' section encodes effective reservations only)
 		// different futures.
 		if src >= 0 && m.c.drained(src) {
-			for a, h := range m.resv {
-				if h == src {
-					delete(m.resv, a)
+			for i := 0; i < m.resv.len(); i++ {
+				if _, h := m.resv.at(i); h == src+1 {
+					m.resv.setAt(i, 0)
 				}
 			}
 		}
@@ -222,9 +218,9 @@ func (m *WeakOrdered) Apply(t Transition) error {
 			// Condition 5: if the issuer has outstanding accesses, reserve
 			// the line so later synchronizers stall until it drains.
 			if !m.c.drained(t.Proc) {
-				m.resv[req.Addr] = t.Proc
+				m.resv.set(req.Addr, t.Proc+1)
 			} else {
-				delete(m.resv, req.Addr)
+				m.resv.set(req.Addr, 0)
 			}
 		}
 		// modeDef2NoReserve deliberately records nothing: the ablation.
@@ -241,20 +237,22 @@ func (m *WeakOrdered) Done() bool { return m.c.allDrained() && m.threadsDone() }
 // AppendKey implements Machine.
 func (m *WeakOrdered) AppendKey(mode KeyMode, key []byte) []byte {
 	key = m.appendKeyBase(mode, key)
-	key = m.c.appendKey(key, m.addrs)
+	key = m.c.appendKey(key)
 	key = append(key, 'V')
-	// Encode effective reservations, sorted by address for canonicity.
-	addrs := make([]mem.Addr, 0, len(m.resv))
-	for a := range m.resv {
-		if m.reserver(a) >= 0 {
-			addrs = append(addrs, a)
+	// Encode effective reservations, count-prefixed, in the table's
+	// canonical slot order.
+	n := 0
+	for i := 0; i < m.resv.len(); i++ {
+		if _, slot := m.resv.at(i); m.holder(slot) >= 0 {
+			n++
 		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	key = binary.AppendUvarint(key, uint64(len(addrs)))
-	for _, a := range addrs {
-		key = binary.AppendUvarint(key, uint64(a))
-		key = binary.AppendUvarint(key, uint64(m.reserver(a)))
+	key = binary.AppendUvarint(key, uint64(n))
+	for i := 0; i < m.resv.len(); i++ {
+		if a, slot := m.resv.at(i); m.holder(slot) >= 0 {
+			key = binary.AppendUvarint(key, uint64(a))
+			key = binary.AppendUvarint(key, uint64(m.holder(slot)))
+		}
 	}
 	return key
 }
@@ -308,7 +306,7 @@ func (m *WeakOrdered) Footprints(buf []explore.AgentFootprints) []explore.AgentF
 }
 
 // Final implements Machine.
-func (m *WeakOrdered) Final() *program.FinalState { return m.finalState(m.c.data[0]) }
+func (m *WeakOrdered) Final() *program.FinalState { return m.finalState(&m.c.data[0]) }
 
 // Result implements Machine.
-func (m *WeakOrdered) Result() mem.Result { return m.result(m.c.data[0]) }
+func (m *WeakOrdered) Result() mem.Result { return m.result(&m.c.data[0]) }

@@ -21,6 +21,27 @@ type wbEntry struct {
 	opIndex int
 }
 
+// cloneBuffers copies per-processor write buffers into one allocation. Each
+// copy is capped at its length, so a clone's append reallocates instead of
+// writing into its neighbour.
+func cloneBuffers(bs [][]wbEntry) [][]wbEntry {
+	out := make([][]wbEntry, len(bs))
+	n := 0
+	for _, b := range bs {
+		n += len(b)
+	}
+	if n == 0 {
+		return out
+	}
+	flat := make([]wbEntry, n)
+	for i, b := range bs {
+		out[i] = flat[:len(b):len(b)]
+		flat = flat[len(b):]
+		copy(out[i], b)
+	}
+	return out
+}
+
 // WriteBuffer models a shared-bus system (with or without per-processor
 // caches kept coherent by the bus) in which each processor retires writes
 // through a FIFO write buffer while reads are allowed to pass buffered
@@ -35,7 +56,7 @@ type wbEntry struct {
 // on Dekker-style races but appears SC to DRF0 programs.
 type WriteBuffer struct {
 	base
-	memory  map[mem.Addr]mem.Value
+	memory  addrTable[mem.Value]
 	buffers [][]wbEntry
 	// delays, when non-nil, holds per thread a map from op index to the
 	// earlier op indices that must have retired first — the enforcement
@@ -52,11 +73,12 @@ func NewWriteBuffer(p *program.Program, name string) *WriteBuffer {
 	if name == "" {
 		name = "bus+writebuffer"
 	}
-	return &WriteBuffer{
+	m := &WriteBuffer{
 		base:    newBase(name, p),
-		memory:  initMem(p),
 		buffers: make([][]wbEntry, p.NumThreads()),
 	}
+	m.memory = m.initialMemory()
+	return m
 }
 
 // NewWriteBufferDelays builds a write-buffer machine that additionally
@@ -91,19 +113,16 @@ func (m *WriteBuffer) delayBlocked(p int) bool {
 func (m *WriteBuffer) Clone() Machine {
 	c := &WriteBuffer{
 		base:    m.cloneBase(),
-		memory:  copyMem(m.memory),
-		buffers: make([][]wbEntry, len(m.buffers)),
+		memory:  m.memory.clone(),
+		buffers: cloneBuffers(m.buffers),
 		delays:  m.delays, // immutable after construction: share, don't copy
-	}
-	for i, b := range m.buffers {
-		c.buffers[i] = append([]wbEntry(nil), b...)
 	}
 	return c
 }
 
 // Transitions implements Machine.
 func (m *WriteBuffer) Transitions() []Transition {
-	var ts []Transition
+	ts := make([]Transition, 0, 2*len(m.threads))
 	for p := range m.threads {
 		if len(m.buffers[p]) > 0 {
 			ts = append(ts, Transition{Kind: TDrain, Proc: p})
@@ -137,7 +156,7 @@ func (m *WriteBuffer) Apply(t Transition) error {
 		}
 		e := m.buffers[t.Proc][0]
 		m.buffers[t.Proc] = m.buffers[t.Proc][1:]
-		m.memory[e.addr] = e.value
+		m.memory.set(e.addr, e.value)
 		m.record(t.Proc, e.opIndex, program.Request{Op: mem.OpWrite, Addr: e.addr, Data: e.value}, 0, e.value)
 		return nil
 	case TExec:
@@ -168,7 +187,7 @@ func (m *WriteBuffer) Apply(t Transition) error {
 				}
 			}
 			if !found {
-				v = m.memory[req.Addr]
+				v = m.memory.get(req.Addr)
 			}
 			m.resolve(t.Proc, req, v, 0)
 			return nil
@@ -178,11 +197,11 @@ func (m *WriteBuffer) Apply(t Transition) error {
 			if len(m.buffers[t.Proc]) > 0 {
 				return fmt.Errorf("writebuffer: sync op with non-empty buffer on P%d", t.Proc)
 			}
-			old := m.memory[req.Addr]
+			old := m.memory.get(req.Addr)
 			var wv mem.Value
 			if req.Op.Writes() {
 				wv = req.NewValue(old)
-				m.memory[req.Addr] = wv
+				m.memory.set(req.Addr, wv)
 			}
 			m.resolve(t.Proc, req, old, wv)
 			return nil
@@ -209,7 +228,7 @@ func (m *WriteBuffer) Done() bool {
 func (m *WriteBuffer) AppendKey(mode KeyMode, key []byte) []byte {
 	key = m.appendKeyBase(mode, key)
 	key = append(key, 'M')
-	key = appendMem(key, m.addrs, m.memory)
+	key = appendMem(key, &m.memory)
 	key = append(key, 'B')
 	for _, b := range m.buffers {
 		key = binary.AppendUvarint(key, uint64(len(b)))
@@ -259,7 +278,7 @@ func (m *WriteBuffer) Footprints(buf []explore.AgentFootprints) []explore.AgentF
 }
 
 // Final implements Machine.
-func (m *WriteBuffer) Final() *program.FinalState { return m.finalState(m.memory) }
+func (m *WriteBuffer) Final() *program.FinalState { return m.finalState(&m.memory) }
 
 // Result implements Machine.
-func (m *WriteBuffer) Result() mem.Result { return m.result(m.memory) }
+func (m *WriteBuffer) Result() mem.Result { return m.result(&m.memory) }
