@@ -9,7 +9,7 @@
 //	      [-spec FILE] [-record FILE] [-replay FILE]
 //	      [-netlat N] [-jitter N] [-bus] [-seed S] [-check]
 //	      [-dir-shards N] [-topology flat|dancehall|clusters]
-//	      [-cluster-size N] [-remote-lat N] [-engine calendar|heap]
+//	      [-cluster-size N] [-remote-lat N]
 //	      [-por on|off] [-max-states N] [-explore-workers N]
 //	      [-faults] [-fault-seed S] [-fault-rates drop=P,dup=P,delay=P,reorder=P,maxdelay=N]
 //	      [-metrics] [-timeline FILE]
@@ -123,7 +123,6 @@ func main() {
 	topology := flag.String("topology", "flat", "network topology: flat, dancehall, or clusters")
 	clusterSize := flag.Int("cluster-size", 8, "processors per cluster for -topology clusters")
 	remoteLat := flag.Int("remote-lat", 0, "extra latency per topology crossing (0 = same as -netlat)")
-	engine := flag.String("engine", "calendar", "event scheduler: calendar (default) or heap (legacy baseline)")
 	showMetrics := flag.Bool("metrics", false, "print cycle-attribution, traffic and occupancy tables")
 	timeline := flag.String("timeline", "", "write a Chrome trace-event timeline (JSON) to this file; implies the metrics recorder")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -202,9 +201,6 @@ func main() {
 	}
 	if *remoteLat < 0 {
 		usage(fmt.Errorf("negative -remote-lat %d", *remoteLat))
-	}
-	if *engine != "calendar" && *engine != "heap" {
-		usage(fmt.Errorf("unknown -engine %q (want calendar or heap)", *engine))
 	}
 	rates := faults.Rates{}
 	if *injectFaults {
@@ -332,7 +328,6 @@ func main() {
 	cfg.Topology = topo
 	cfg.ClusterSize = *clusterSize
 	cfg.RemoteLatency = sim.Time(*remoteLat)
-	cfg.HeapEngine = *engine == "heap"
 	cfg.RecordTrace = *check || *dump != ""
 	cfg.Metrics = *showMetrics || *timeline != ""
 	cfg.RecordTimings = *conds || *dump != ""

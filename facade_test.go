@@ -1,6 +1,7 @@
 package weakorder_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -152,5 +153,35 @@ func TestFacadeModelNamesMatchFactories(t *testing.T) {
 		if !strings.EqualFold(mach.Name(), string(m)) {
 			t.Errorf("model %q has machine name %q", m, mach.Name())
 		}
+	}
+}
+
+// TestSimulateRunawayLocalLoopIsAnError: a thread that loops in local
+// instructions without reaching another memory operation exceeds the
+// interpreter's local-step bound. The timed run must fail with an error that
+// wraps the interpreter's, not panic in the caller.
+func TestSimulateRunawayLocalLoopIsAnError(t *testing.T) {
+	p := weakorder.MustParseProgram(`
+name: runaway
+thread:
+    st x, 1
+L:
+    jmp L
+`).Program
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("Simulate panicked: %v", r)
+		}
+	}()
+	res, err := weakorder.Simulate(p, weakorder.NewSimConfig(weakorder.PolicyWODef2))
+	if err == nil {
+		t.Fatalf("Simulate = %+v, want the runaway-loop error", res)
+	}
+	leaf := err
+	for next := errors.Unwrap(leaf); next != nil; next = errors.Unwrap(leaf) {
+		leaf = next
+	}
+	if leaf == err || !strings.HasPrefix(leaf.Error(), "program: thread exceeded") {
+		t.Fatalf("Simulate error %q does not wrap the interpreter's local-step error (innermost: %q)", err, leaf)
 	}
 }

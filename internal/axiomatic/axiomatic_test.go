@@ -185,11 +185,11 @@ func TestKnownOutcomeCounts(t *testing.T) {
 		sys  System
 		want int
 	}{
-		{SysSC, 3},      // both-zero forbidden
-		{SysTSO, 4},     // store buffering admits both-zero
+		{SysSC, 3},  // both-zero forbidden
+		{SysTSO, 4}, // store buffering admits both-zero
 		{SysPSO, 4},
 		{SysRMO, 4},
-		{SysWODef1, 4},  // data accesses are unordered between syncs
+		{SysWODef1, 4}, // data accesses are unordered between syncs
 		{SysWODef2, 4},
 	}
 	for _, c := range cases {

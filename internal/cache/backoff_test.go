@@ -19,10 +19,10 @@ func TestBackoffClamp(t *testing.T) {
 		attempts int
 		want     sim.Time
 	}{
-		{0, 5, 0},                                    // retries disabled
-		{-3, 5, 0},                                   // nonsense timeout
-		{100, 0, 100},                                // first attempt: base timeout
-		{100, 3, 800},                                // doubling below the clamp
+		{0, 5, 0},     // retries disabled
+		{-3, 5, 0},    // nonsense timeout
+		{100, 0, 100}, // first attempt: base timeout
+		{100, 3, 800}, // doubling below the clamp
 		{100, maxBackoffShift, 100 << maxBackoffShift}, // at the clamp
 		{100, maxBackoffShift + 1, 100 << maxBackoffShift},
 		{100, 63, 100 << maxBackoffShift},  // old code: negative delay, panic
@@ -83,10 +83,10 @@ func TestRetryHighAttemptsNoOverflow(t *testing.T) {
 	engine := sim.NewEngine(0, 0) // no time/event budget: let the schedule run
 	net := interconnect.NewNetwork(engine, 1, 0, nil, true)
 	net.Attach(1, blackhole{}) // the "directory" silently eats every request
-	c := New(0, engine, net, 1, 1)
+	c := New(0, engine, net, new(MsgPool), 1, 1)
 	c.SetRetry(128, 100)
 	fired := false
-	c.AcquireShared(2, false, func(v mem.Value) { fired = true })
+	acquireShared(c, 2, false, func(v mem.Value) { fired = true })
 	err := engine.Run(nil)
 	if !errors.Is(err, ErrRetryExhausted) {
 		t.Fatalf("err = %v, want ErrRetryExhausted", err)

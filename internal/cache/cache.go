@@ -2,7 +2,7 @@ package cache
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"weakorder/internal/interconnect"
 	"weakorder/internal/mem"
@@ -49,7 +49,20 @@ type line struct {
 	epoch uint64
 }
 
-// mshr tracks one outstanding transaction for an address.
+// addrState is everything a cache keeps for one address: the cached copy
+// (state Invalid when none is held), the outstanding transaction (nil when
+// idle) and the forwards parked behind it. A record is created on the
+// address's first miss and reused for the cache's lifetime, so a fill
+// rewrites the line in place and parking reuses the slice.
+type addrState struct {
+	line
+	m      *mshr
+	parked []stalledFwd
+}
+
+// mshr tracks one outstanding transaction for an address. Retired MSHRs
+// return to the cache's free list; timers that outlive a transaction
+// identify it by seq, never by the recycled pointer.
 type mshr struct {
 	exclusive    bool // GetX (else GetS)
 	sync         bool // synchronization access (not counted by dataCounter)
@@ -57,12 +70,13 @@ type mshr struct {
 	dataArrived  bool
 	performed    bool // WriteAck (or Performed Data) received
 	invWhilePend bool // an Inv overtook our pending read: don't install
-	// updateOverride holds a newer value delivered by a MsgUpdate that
-	// overtook our pending fill (non-FIFO fabrics): the fill installs it
-	// instead of the stale Data payload.
-	updateOverride *mem.Value
-	value          mem.Value
-	excl           bool
+	// hasOverride marks override as a newer value delivered by a MsgUpdate
+	// that overtook our pending fill (non-FIFO fabrics): the fill installs
+	// it instead of the stale Data payload.
+	hasOverride bool
+	override    mem.Value
+	value       mem.Value
+	excl        bool
 	// seq is the transaction number stamped on the request; responses must
 	// echo it or be discarded as stale.
 	seq uint64
@@ -70,23 +84,22 @@ type mshr struct {
 	req Msg
 	// attempts counts retransmissions (timeout- or NACK-triggered).
 	attempts int
-	// onData fires at commit (Data arrival; for reads, value binding).
-	onData func(old mem.Value)
-	// onPerformed fires at global performance (writes/syncs only).
-	onPerformed func()
-	// issuer, when non-nil, replaces onData/onPerformed: the cache calls
-	// LineCommitted/LinePerformed with a pointer to ictx, the issuer's
-	// per-access context stored by value in the MSHR. This is the
-	// allocation-free completion path — one mshr allocation per miss instead
-	// of an mshr plus captured continuation closures.
+	// issuer receives the completion callbacks: the cache calls
+	// LineCommitted at commit (Data arrival; for reads, value binding) and
+	// LinePerformed at global performance (exclusive transactions only),
+	// with a pointer to ictx, the issuer's per-access context stored by
+	// value in the MSHR. A nil issuer (a write-update with no waiter) gets
+	// no callbacks.
 	issuer IssueSink
 	ictx   IssueCtx
-	// free callbacks waiting for the MSHR to clear.
+	// free callbacks waiting for the MSHR to clear; the slice's array is
+	// kept when the MSHR is recycled.
 	onFree []func()
 }
 
 // IssueCtx is the per-access context an IssueSink stores in the MSHR when
-// issuing a miss through AcquireSharedCtx/AcquireExclusiveCtx. The cache
+// issuing a miss through AcquireSharedCtx, AcquireExclusiveCtx or
+// WriteUpdate. The cache
 // treats every field as opaque issuer scratch: it copies the context into
 // the MSHR at issue time and hands a pointer to that copy back at commit and
 // performance time, so the issuer keeps per-transaction state (timestamps,
@@ -106,10 +119,9 @@ type IssueCtx struct {
 	New     mem.Value
 }
 
-// IssueSink receives completion callbacks for misses issued with an
-// IssueCtx. LineCommitted mirrors AcquireShared's done / AcquireExclusive's
-// committed callback (synchronous with line installation); LinePerformed
-// mirrors AcquireExclusive's performed callback and fires for exclusive
+// IssueSink receives completion callbacks for accesses issued with an
+// IssueCtx. LineCommitted runs synchronously with line installation (or with
+// the hit); LinePerformed runs at global performance and fires for exclusive
 // transactions only.
 type IssueSink interface {
 	LineCommitted(ctx *IssueCtx, v mem.Value)
@@ -138,9 +150,19 @@ type Cache struct {
 	// The default 1 is the classic single home node.
 	dirShards int
 	hitLat    sim.Time
+	msgs      *MsgPool
 
-	lines map[mem.Addr]*line
-	mshrs map[mem.Addr]*mshr
+	addrs map[mem.Addr]*addrState
+	// lastAddr/lastState memoize the latest lookup: an access probes,
+	// commits and reserves the same address in a row, and records are never
+	// removed, so the memo cannot go stale.
+	lastAddr  mem.Addr
+	lastState *addrState
+	// freeMSHRs holds retired MSHRs for reuse by later misses.
+	freeMSHRs []*mshr
+	// reservedScratch collects reserved addresses when the ordinary-access
+	// counter reads zero.
+	reservedScratch []mem.Addr
 
 	// lenient tolerates messages explainable as fabric faults (duplicates,
 	// stale responses) by ignoring them with a counted stat instead of
@@ -180,11 +202,9 @@ type Cache struct {
 	// stalledFwds queues remote synchronization requests (forwarded by the
 	// directory) that hit a reserved line; they are serviced when the
 	// ordinary-access counter reads zero (Section 5.3's stalled-request
-	// queue).
+	// queue). Forwards that arrive before our own Data for the same line are
+	// parked on the line's addrState instead (message-race guard).
 	stalledFwds []stalledFwd
-	// pendingFwds queues forwards that arrived before our own Data for the
-	// same line (message-race guard).
-	pendingFwds map[mem.Addr][]stalledFwd
 
 	// Stats counts hits, misses, reserve stalls, etc.
 	Stats *stats.Counters
@@ -209,25 +229,92 @@ type stalledFwd struct {
 	since sim.Time // arrival time, for reserve-stall span attribution
 }
 
-// New builds a cache attached to the fabric.
-func New(id interconnect.NodeID, engine *sim.Engine, fabric interconnect.Fabric, dir interconnect.NodeID, hitLat sim.Time) *Cache {
+// New builds a cache attached to the fabric, sending from and recycling into
+// the machine's message pool msgs.
+func New(id interconnect.NodeID, engine *sim.Engine, fabric interconnect.Fabric, msgs *MsgPool, dir interconnect.NodeID, hitLat sim.Time) *Cache {
 	if hitLat < 1 {
 		hitLat = 1
 	}
 	c := &Cache{
-		ID:          id,
-		engine:      engine,
-		fabric:      fabric,
-		dir:         dir,
-		dirShards:   1,
-		hitLat:      hitLat,
-		lines:       make(map[mem.Addr]*line),
-		mshrs:       make(map[mem.Addr]*mshr),
-		pendingFwds: make(map[mem.Addr][]stalledFwd),
-		Stats:       stats.NewCounters(),
+		ID:        id,
+		engine:    engine,
+		fabric:    fabric,
+		msgs:      msgs,
+		dir:       dir,
+		dirShards: 1,
+		hitLat:    hitLat,
+		addrs:     make(map[mem.Addr]*addrState),
+		Stats:     stats.NewCounters(),
 	}
 	fabric.Attach(id, c)
 	return c
+}
+
+// send hands a message to the fabric in a pooled record.
+func (c *Cache) send(dst interconnect.NodeID, m Msg) { c.msgs.send(c.fabric, c.ID, dst, m) }
+
+// lookup returns the address's record, or nil before its first miss.
+func (c *Cache) lookup(a mem.Addr) *addrState {
+	if c.lastState != nil && c.lastAddr == a {
+		return c.lastState
+	}
+	st := c.addrs[a]
+	if st != nil {
+		c.lastAddr, c.lastState = a, st
+	}
+	return st
+}
+
+// slot returns the address's record, creating it on first use.
+func (c *Cache) slot(a mem.Addr) *addrState {
+	st := c.lookup(a)
+	if st == nil {
+		st = &addrState{}
+		c.addrs[a] = st
+	}
+	return st
+}
+
+// copyOf returns the cached copy of a, or nil when none is held.
+func (c *Cache) copyOf(a mem.Addr) *line {
+	if st := c.lookup(a); st != nil && st.state != Invalid {
+		return &st.line
+	}
+	return nil
+}
+
+// mshrOf returns the outstanding transaction for a, or nil.
+func (c *Cache) mshrOf(a mem.Addr) *mshr {
+	if st := c.lookup(a); st != nil {
+		return st.m
+	}
+	return nil
+}
+
+// openMSHR starts transaction m on the address of st, in a recycled MSHR.
+func (c *Cache) openMSHR(st *addrState, m mshr) *mshr {
+	var r *mshr
+	if n := len(c.freeMSHRs); n > 0 {
+		r = c.freeMSHRs[n-1]
+		c.freeMSHRs = c.freeMSHRs[:n-1]
+		m.onFree = r.onFree[:0]
+	} else {
+		r = new(mshr)
+	}
+	*r = m
+	st.m = r
+	return r
+}
+
+// runAll runs fns in order and returns the emptied slice for reuse. The
+// caller detaches fns from where callbacks register first, so a callback
+// registered while they run lands in a new list, not in fns.
+func runAll(fns []func()) []func() {
+	for _, fn := range fns {
+		fn()
+	}
+	clear(fns)
+	return fns[:0]
 }
 
 // SetDirShards tells the cache the home directory is sharded over n nodes
@@ -363,12 +450,12 @@ func (c *Cache) OnCounterZero(fn func()) {
 }
 
 // Busy reports whether an outstanding transaction exists for the address.
-func (c *Cache) Busy(a mem.Addr) bool { return c.mshrs[a] != nil }
+func (c *Cache) Busy(a mem.Addr) bool { return c.mshrOf(a) != nil }
 
 // OnFree registers fn to run when the address's MSHR clears (immediately if
 // free).
 func (c *Cache) OnFree(a mem.Addr, fn func()) {
-	m := c.mshrs[a]
+	m := c.mshrOf(a)
 	if m == nil {
 		fn()
 		return
@@ -378,8 +465,8 @@ func (c *Cache) OnFree(a mem.Addr, fn func()) {
 
 // State returns the line's current state (Invalid if absent).
 func (c *Cache) State(a mem.Addr) LineState {
-	if l := c.lines[a]; l != nil {
-		return l.state
+	if st := c.lookup(a); st != nil {
+		return st.state
 	}
 	return Invalid
 }
@@ -414,23 +501,29 @@ func (c *Cache) decCounter(sync bool) {
 			// counter of accesses a reserve can be waiting on, i.e. ordinary
 			// ones. Cleared in address order so the recorded clear events (and
 			// with them the exported timeline) are deterministic.
-			var reserved []mem.Addr
-			for a, l := range c.lines {
-				if l.reserved {
+			reserved := c.reservedScratch[:0]
+			for a, st := range c.addrs {
+				if st.reserved {
 					reserved = append(reserved, a)
 				}
 			}
-			sort.Slice(reserved, func(i, j int) bool { return reserved[i] < reserved[j] })
+			slices.Sort(reserved)
 			for _, a := range reserved {
-				c.lines[a].reserved = false
+				c.addrs[a].reserved = false
 				c.rec.ReserveCleared(int(c.ID), a)
 			}
-			// Service remote synchronization requests stalled on reserve bits.
+			c.reservedScratch = reserved
+			// Service remote synchronization requests stalled on reserve
+			// bits. Servicing never stalls again, so the queue stays empty
+			// while the detached batch drains and its array is reused.
 			stalled := c.stalledFwds
 			c.stalledFwds = nil
 			for _, s := range stalled {
 				c.rec.ReserveStalled(int(s.msg.Requester), s.msg.Addr, s.since, c.engine.Now())
 				c.serviceFwd(s.src, s.msg)
+			}
+			if c.stalledFwds == nil {
+				c.stalledFwds = stalled[:0]
 			}
 		}
 	}
@@ -438,8 +531,9 @@ func (c *Cache) decCounter(sync bool) {
 		// Definition 1's issue condition waits on *all* previous accesses.
 		cbs := c.onCounterZero
 		c.onCounterZero = nil
-		for _, fn := range cbs {
-			fn()
+		cbs = runAll(cbs)
+		if c.onCounterZero == nil {
+			c.onCounterZero = cbs
 		}
 	}
 }
@@ -451,7 +545,7 @@ func (c *Cache) sendRequest(a mem.Addr, m *mshr, msg Msg) {
 	m.seq = c.seq
 	msg.Seq = c.seq
 	m.req = msg
-	c.fabric.Send(c.ID, c.dirFor(a), msg)
+	c.send(c.dirFor(a), msg)
 	c.armRetry(a, m)
 }
 
@@ -460,14 +554,16 @@ func (c *Cache) armRetry(a mem.Addr, m *mshr) {
 	if c.retryTimeout <= 0 {
 		return
 	}
-	c.engine.After(c.backoff(m.attempts), func() { c.retryCheck(a, m) })
+	seq := m.seq
+	c.engine.After(c.backoff(m.attempts), func() { c.retryCheck(a, seq) })
 }
 
-// retryCheck fires when a retransmission timer expires: if the transaction is
-// still unanswered, the request is resent with exponential backoff; past the
-// bounded budget the run fails with ErrRetryExhausted.
-func (c *Cache) retryCheck(a mem.Addr, m *mshr) {
-	if c.mshrs[a] != m || m.satisfied() {
+// retryCheck fires when a retransmission timer expires: if transaction seq is
+// still outstanding and unanswered, the request is resent with exponential
+// backoff; past the bounded budget the run fails with ErrRetryExhausted.
+func (c *Cache) retryCheck(a mem.Addr, seq uint64) {
+	m := c.mshrOf(a)
+	if m == nil || m.seq != seq || m.satisfied() {
 		return // answered (or retired) in the meantime
 	}
 	c.resendRequest(a, m)
@@ -482,41 +578,19 @@ func (c *Cache) resendRequest(a mem.Addr, m *mshr) {
 		return
 	}
 	c.Stats.Add("request_retries", 1)
-	c.fabric.Send(c.ID, c.dirFor(a), m.req)
+	c.send(c.dirFor(a), m.req)
 	c.armRetry(a, m)
 	// The window until the next retransmission check is attributed to the
 	// retry schedule; report-time carving trims it at the answer's arrival.
 	c.rec.Backoff(int(c.ID), a, c.engine.Now(), c.engine.Now()+c.backoff(m.attempts))
 }
 
-// AcquireShared ensures the line is at least Shared and calls done with its
-// value. Callbacks run *synchronously* with the decision (hit) or with Data
-// arrival (miss), so the line state they observe cannot be stolen by a
-// concurrent forward in between; the processor charges hit latency itself
-// before its next step.
-func (c *Cache) AcquireShared(a mem.Addr, sync bool, done func(v mem.Value)) {
-	if l := c.lines[a]; l != nil && l.state != Invalid {
-		c.hHits.Add(c.Stats, "hits", 1)
-		done(l.value)
-		return
-	}
-	if c.mshrs[a] != nil {
-		c.fail(nil, "AcquireShared with busy MSHR for x%d", a)
-		return
-	}
-	c.hReadMiss.Add(c.Stats, "read_misses", 1)
-	c.incCounter(sync)
-	m := &mshr{sync: sync, onData: func(v mem.Value) { done(v) }}
-	c.mshrs[a] = m
-	c.sendRequest(a, m, Msg{Kind: MsgGetS, Addr: a, Sync: sync})
-}
-
-// TryReadHit mirrors the hit arm of AcquireShared without taking a
+// TryReadHit mirrors the hit arm of AcquireSharedCtx without taking a
 // continuation: if the line is present it charges the hit and returns its
-// value. Hot issue paths use it to complete hits without allocating the
-// callback closure; on a miss the caller falls back to AcquireShared.
+// value. Hot issue paths use it to complete hits inline; on a miss the
+// caller falls back to AcquireSharedCtx.
 func (c *Cache) TryReadHit(a mem.Addr) (mem.Value, bool) {
-	if l := c.lines[a]; l != nil && l.state != Invalid {
+	if l := c.copyOf(a); l != nil {
 		c.hHits.Add(c.Stats, "hits", 1)
 		return l.value, true
 	}
@@ -524,119 +598,99 @@ func (c *Cache) TryReadHit(a mem.Addr) (mem.Value, bool) {
 }
 
 // TryExclusiveHit is TryReadHit's exclusive counterpart, mirroring the hit
-// arm of AcquireExclusive: commit and global performance coincide, and the
+// arm of AcquireExclusiveCtx: commit and global performance coincide, and the
 // caller applies its write via WriteLocal.
 func (c *Cache) TryExclusiveHit(a mem.Addr) (mem.Value, bool) {
-	if l := c.lines[a]; l != nil && l.state == Exclusive {
+	if l := c.copyOf(a); l != nil && l.state == Exclusive {
 		c.hHits.Add(c.Stats, "hits", 1)
 		return l.value, true
 	}
 	return 0, false
 }
 
-// AcquireSharedCtx is AcquireShared for IssueSink issuers: identical
-// protocol behavior and hit/miss accounting, but the continuation state
-// travels in the MSHR as an IssueCtx value instead of captured closures.
+// AcquireSharedCtx ensures the line is at least Shared and calls
+// is.LineCommitted with its value. The callback runs *synchronously* with the
+// decision (hit) or with Data arrival (miss), so the line state it observes
+// cannot be stolen by a concurrent forward in between; the processor charges
+// hit latency itself before its next step. The continuation state travels in
+// the MSHR as the IssueCtx value ctx.
 func (c *Cache) AcquireSharedCtx(a mem.Addr, sync bool, is IssueSink, ctx IssueCtx) {
-	if l := c.lines[a]; l != nil && l.state != Invalid {
+	st := c.slot(a)
+	if st.state != Invalid {
 		c.hHits.Add(c.Stats, "hits", 1)
 		c.ictxScratch = ctx
-		is.LineCommitted(&c.ictxScratch, l.value)
+		is.LineCommitted(&c.ictxScratch, st.value)
 		return
 	}
-	if c.mshrs[a] != nil {
+	if st.m != nil {
 		c.fail(nil, "AcquireShared with busy MSHR for x%d", a)
 		return
 	}
 	c.hReadMiss.Add(c.Stats, "read_misses", 1)
 	c.incCounter(sync)
-	m := &mshr{sync: sync, issuer: is, ictx: ctx}
-	c.mshrs[a] = m
+	m := c.openMSHR(st, mshr{sync: sync, issuer: is, ictx: ctx})
 	c.sendRequest(a, m, Msg{Kind: MsgGetS, Addr: a, Sync: sync})
 }
 
-// AcquireExclusiveCtx is AcquireExclusive for IssueSink issuers (see
-// AcquireSharedCtx). On a hit, commit and performance coincide:
-// LineCommitted then LinePerformed run synchronously, like the committed and
-// performed callbacks would.
+// AcquireExclusiveCtx ensures the line is Exclusive. is.LineCommitted runs at
+// the commit point with the line's pre-access value (the caller then applies
+// its write via WriteLocal), synchronously with the moment the line is
+// exclusively held, so WriteLocal/Reserve inside it can never observe a
+// stolen line; is.LinePerformed runs when the access is globally performed.
+// On a hit, commit and performance coincide and both run synchronously. sync
+// marks a synchronization access.
 func (c *Cache) AcquireExclusiveCtx(a mem.Addr, sync bool, is IssueSink, ctx IssueCtx) {
-	if l := c.lines[a]; l != nil && l.state == Exclusive {
+	st := c.slot(a)
+	if st.state == Exclusive {
 		c.hHits.Add(c.Stats, "hits", 1)
 		c.ictxScratch = ctx
-		is.LineCommitted(&c.ictxScratch, l.value)
+		is.LineCommitted(&c.ictxScratch, st.value)
 		is.LinePerformed(&c.ictxScratch)
 		return
 	}
-	if c.mshrs[a] != nil {
+	if st.m != nil {
 		c.fail(nil, "AcquireExclusive with busy MSHR for x%d", a)
 		return
 	}
 	c.hWriteMiss.Add(c.Stats, "write_misses", 1)
 	c.incCounter(sync)
-	m := &mshr{exclusive: true, sync: sync, issuer: is, ictx: ctx}
-	c.mshrs[a] = m
-	c.sendRequest(a, m, Msg{Kind: MsgGetX, Addr: a, Sync: sync})
-}
-
-// AcquireExclusive ensures the line is Exclusive. committed runs at the
-// commit point with the line's pre-access value (the caller then applies its
-// write via WriteLocal); performed runs when the access is globally performed
-// (nil allowed). sync marks a synchronization access. Like AcquireShared,
-// callbacks are synchronous with the moment the line is exclusively held, so
-// WriteLocal/Reserve inside committed can never observe a stolen line.
-func (c *Cache) AcquireExclusive(a mem.Addr, sync bool, committed func(old mem.Value), performed func()) {
-	if l := c.lines[a]; l != nil && l.state == Exclusive {
-		// Sole copy: commit and global performance coincide.
-		c.hHits.Add(c.Stats, "hits", 1)
-		committed(l.value)
-		if performed != nil {
-			performed()
-		}
-		return
-	}
-	if c.mshrs[a] != nil {
-		c.fail(nil, "AcquireExclusive with busy MSHR for x%d", a)
-		return
-	}
-	c.hWriteMiss.Add(c.Stats, "write_misses", 1)
-	c.incCounter(sync)
-	m := &mshr{exclusive: true, sync: sync, onData: committed, onPerformed: performed}
-	c.mshrs[a] = m
+	m := c.openMSHR(st, mshr{exclusive: true, sync: sync, issuer: is, ictx: ctx})
 	c.sendRequest(a, m, Msg{Kind: MsgGetX, Addr: a, Sync: sync})
 }
 
 // WriteUpdate performs a data write under the write-update protocol: the
 // local copy (if any) commits immediately; the value travels to the directory,
-// which updates memory and multicasts it to the other sharers. performed runs
-// when every sharer has acknowledged (nil allowed). Exclusive hits complete
-// locally like in the invalidation protocol. The caller must have checked
-// Busy first.
-func (c *Cache) WriteUpdate(a mem.Addr, v mem.Value, performed func()) {
-	if l := c.lines[a]; l != nil && l.state == Exclusive {
+// which updates memory and multicasts it to the other sharers. is.LinePerformed
+// runs with ctx when every sharer has acknowledged (is may be nil). Exclusive
+// hits complete locally like in the invalidation protocol. The caller must
+// have checked Busy first.
+func (c *Cache) WriteUpdate(a mem.Addr, v mem.Value, is IssueSink, ctx IssueCtx) {
+	st := c.slot(a)
+	if st.state == Exclusive {
 		c.hHits.Add(c.Stats, "hits", 1)
-		l.value = v
-		if performed != nil {
-			performed()
+		st.value = v
+		if is != nil {
+			c.ictxScratch = ctx
+			is.LinePerformed(&c.ictxScratch)
 		}
 		return
 	}
-	if c.mshrs[a] != nil {
+	if st.m != nil {
 		c.fail(nil, "WriteUpdate with busy MSHR for x%d", a)
 		return
 	}
-	if l := c.lines[a]; l != nil {
-		l.value = v // provisional local commit; directory order prevails
+	if st.state != Invalid {
+		st.value = v // provisional local commit; directory order prevails
 	}
 	c.Stats.Add("update_writes", 1)
 	c.incCounter(false)
-	m := &mshr{exclusive: true, update: true, dataArrived: true, onPerformed: performed}
-	c.mshrs[a] = m
+	m := c.openMSHR(st, mshr{exclusive: true, update: true, dataArrived: true, issuer: is, ictx: ctx})
 	c.sendRequest(a, m, Msg{Kind: MsgUpdateReq, Addr: a, Value: v})
 }
 
 // onUpdate applies a directory-serialized update to the local copy.
 func (c *Cache) onUpdate(msg Msg) {
-	if l := c.lines[msg.Addr]; l != nil {
+	if l := c.copyOf(msg.Addr); l != nil {
 		if msg.Epoch != 0 && msg.Epoch <= l.epoch {
 			// Duplicated or delayed update from a transaction serialized
 			// before this copy was granted: applying it would travel back in
@@ -644,24 +698,24 @@ func (c *Cache) onUpdate(msg Msg) {
 			if !c.tolerate("stale_update", c.dirFor(msg.Addr), msg, "stale Update (line epoch %d)", l.epoch) {
 				return
 			}
-			c.fabric.Send(c.ID, c.dirFor(msg.Addr), Msg{Kind: MsgUpdateAck, Addr: msg.Addr, Epoch: msg.Epoch})
+			c.send(c.dirFor(msg.Addr), Msg{Kind: MsgUpdateAck, Addr: msg.Addr, Epoch: msg.Epoch})
 			return
 		}
 		l.value = msg.Value
-	} else if m := c.mshrs[msg.Addr]; m != nil && !m.dataArrived {
+	} else if m := c.mshrOf(msg.Addr); m != nil && !m.dataArrived {
 		// The update overtook our pending fill: remember it so the fill
 		// installs the newer value.
-		v := msg.Value
-		m.updateOverride = &v
+		m.hasOverride = true
+		m.override = msg.Value
 	}
 	c.Stats.Add("updates_received", 1)
-	c.fabric.Send(c.ID, c.dirFor(msg.Addr), Msg{Kind: MsgUpdateAck, Addr: msg.Addr, Epoch: msg.Epoch})
+	c.send(c.dirFor(msg.Addr), Msg{Kind: MsgUpdateAck, Addr: msg.Addr, Epoch: msg.Epoch})
 }
 
 // WriteLocal commits a value into an Exclusive line. It is called by the
 // processor inside a committed callback (or on an exclusive hit).
 func (c *Cache) WriteLocal(a mem.Addr, v mem.Value) {
-	l := c.lines[a]
+	l := c.copyOf(a)
 	if l == nil || l.state != Exclusive {
 		c.fail(nil, "WriteLocal to non-exclusive line x%d", a)
 		return
@@ -672,7 +726,7 @@ func (c *Cache) WriteLocal(a mem.Addr, v mem.Value) {
 // Reserve sets the reserve bit on an Exclusive line; the bit clears
 // automatically when the ordinary-access counter reads zero.
 func (c *Cache) Reserve(a mem.Addr) {
-	l := c.lines[a]
+	l := c.copyOf(a)
 	if l == nil || l.state != Exclusive {
 		c.fail(nil, "Reserve on non-exclusive line x%d", a)
 		return
@@ -687,16 +741,16 @@ func (c *Cache) Reserve(a mem.Addr) {
 
 // Reserved reports whether the line currently has its reserve bit set.
 func (c *Cache) Reserved(a mem.Addr) bool {
-	l := c.lines[a]
+	l := c.copyOf(a)
 	return l != nil && l.reserved
 }
 
 // Deliver implements interconnect.Endpoint.
 func (c *Cache) Deliver(src interconnect.NodeID, m interconnect.Message) {
+	msg, ok := c.msgs.take(m)
 	if c.engine.Failed() != nil {
 		return
 	}
-	msg, ok := m.(Msg)
 	if !ok {
 		c.engine.Fail(&ProtocolError{
 			Node: c.ID, Cycle: c.engine.Now(),
@@ -723,11 +777,12 @@ func (c *Cache) Deliver(src interconnect.NodeID, m interconnect.Message) {
 }
 
 func (c *Cache) onDataArrival(src interconnect.NodeID, msg Msg) {
-	m := c.mshrs[msg.Addr]
-	if m == nil {
+	rec := c.lookup(msg.Addr)
+	if rec == nil || rec.m == nil {
 		c.tolerate("stale_data", src, msg, "Data for x%d with no MSHR", msg.Addr)
 		return
 	}
+	m := rec.m
 	if msg.Seq != 0 && msg.Seq != m.seq {
 		c.tolerate("stale_data", src, msg, "Data for x%d with stale seq (MSHR seq %d)", msg.Addr, m.seq)
 		return
@@ -737,10 +792,10 @@ func (c *Cache) onDataArrival(src interconnect.NodeID, msg Msg) {
 		return
 	}
 	v := msg.Value
-	if m.updateOverride != nil {
+	if m.hasOverride {
 		// A directory-serialized update overtook this fill: install (and
 		// return) the newer value — the access legally serializes after it.
-		v = *m.updateOverride
+		v = m.override
 	}
 	m.dataArrived = true
 	m.value = v
@@ -759,23 +814,21 @@ func (c *Cache) onDataArrival(src interconnect.NodeID, msg Msg) {
 		st = Invalid
 	}
 	if st == Invalid {
-		delete(c.lines, msg.Addr)
+		rec.line = line{}
 	} else {
-		c.lines[msg.Addr] = &line{state: st, value: v, epoch: msg.Epoch}
+		rec.line = line{state: st, value: v, epoch: msg.Epoch}
 	}
 	// Synchronous with installation: the committed callback (which applies
 	// the processor's write) runs before any other message can touch the
 	// line.
 	if m.issuer != nil {
 		m.issuer.LineCommitted(&m.ictx, v)
-	} else if m.onData != nil {
-		m.onData(v)
 	}
 	c.maybeCompleteMSHR(msg.Addr, m)
 }
 
 func (c *Cache) onWriteAck(src interconnect.NodeID, msg Msg) {
-	m := c.mshrs[msg.Addr]
+	m := c.mshrOf(msg.Addr)
 	if m == nil {
 		c.tolerate("stale_writeack", src, msg, "WriteAck for x%d with no MSHR", msg.Addr)
 		return
@@ -792,7 +845,7 @@ func (c *Cache) onWriteAck(src interconnect.NodeID, msg Msg) {
 // request is retried with exponential backoff under the same bounded budget
 // as timeout-triggered retransmission.
 func (c *Cache) onNack(src interconnect.NodeID, msg Msg) {
-	m := c.mshrs[msg.Addr]
+	m := c.mshrOf(msg.Addr)
 	if m == nil || (msg.Seq != 0 && msg.Seq != m.seq) || m.satisfied() {
 		c.tolerate("stale_nack", src, msg, "Nack for x%d with no matching transaction", msg.Addr)
 		return
@@ -803,7 +856,8 @@ func (c *Cache) onNack(src interconnect.NodeID, msg Msg) {
 	}
 	c.Stats.Add("nacks_received", 1)
 	backoff := c.backoff(m.attempts)
-	c.engine.After(backoff, func() { c.retryCheck(msg.Addr, m) })
+	seq := m.seq
+	c.engine.After(backoff, func() { c.retryCheck(msg.Addr, seq) })
 	c.rec.Backoff(int(c.ID), msg.Addr, c.engine.Now(), c.engine.Now()+backoff)
 	m.attempts++
 	if m.attempts > c.retryLimit {
@@ -815,50 +869,53 @@ func (c *Cache) onNack(src interconnect.NodeID, msg Msg) {
 // maybeCompleteMSHR retires the transaction once all its parts are in:
 // reads need Data; writes need Data plus global performance.
 func (c *Cache) maybeCompleteMSHR(a mem.Addr, m *mshr) {
-	if c.mshrs[a] != m || !m.dataArrived {
+	st := c.lookup(a)
+	if st.m != m || !m.dataArrived {
 		return
 	}
 	if m.exclusive && !m.performed {
 		return
 	}
-	delete(c.mshrs, a)
+	st.m = nil
 	if m.exclusive && m.issuer != nil {
 		m.issuer.LinePerformed(&m.ictx)
-	} else if m.exclusive && m.onPerformed != nil {
-		m.onPerformed()
 	}
 	c.decCounter(m.sync)
-	frees := m.onFree
-	m.onFree = nil
-	for _, fn := range frees {
-		fn()
-	}
-	// Forwards that raced ahead of our Data can be serviced now.
-	if pend := c.pendingFwds[a]; len(pend) > 0 {
-		delete(c.pendingFwds, a)
+	// Callbacks registered from here on find st.m nil or a newer MSHR, so
+	// m.onFree holds exactly the waiters of this transaction.
+	m.onFree = runAll(m.onFree)
+	*m = mshr{onFree: m.onFree}
+	c.freeMSHRs = append(c.freeMSHRs, m)
+	// Forwards that raced ahead of our Data can be serviced now. A forward
+	// that meets a newer transaction of ours parks again, on a fresh slice.
+	if pend := st.parked; len(pend) > 0 {
+		st.parked = nil
 		for _, f := range pend {
 			c.onFwd(f.src, f.msg)
+		}
+		if st.parked == nil {
+			st.parked = pend[:0]
 		}
 	}
 }
 
 func (c *Cache) onInv(src interconnect.NodeID, msg Msg) {
-	if l := c.lines[msg.Addr]; l != nil && msg.Epoch != 0 && msg.Epoch <= l.epoch {
+	if l := c.copyOf(msg.Addr); l != nil && msg.Epoch != 0 && msg.Epoch <= l.epoch {
 		// The invalidation belongs to a transaction serialized before this
 		// copy was granted: a duplicated or delayed artifact. Obeying it
 		// would discard a copy the directory still believes we hold.
 		c.tolerate("stale_inv", src, msg, "stale Inv for x%d (line epoch %d)", msg.Addr, l.epoch)
 		return
 	}
-	if m := c.mshrs[msg.Addr]; m != nil && !m.dataArrived {
+	if m := c.mshrOf(msg.Addr); m != nil && !m.dataArrived {
 		// The invalidation overtook our pending fill.
 		m.invWhilePend = true
 	}
-	if l := c.lines[msg.Addr]; l != nil {
-		delete(c.lines, msg.Addr)
+	if l := c.copyOf(msg.Addr); l != nil {
+		*l = line{}
 	}
 	c.Stats.Add("invalidations", 1)
-	c.fabric.Send(c.ID, c.dirFor(msg.Addr), Msg{Kind: MsgInvAck, Addr: msg.Addr, Epoch: msg.Epoch})
+	c.send(c.dirFor(msg.Addr), Msg{Kind: MsgInvAck, Addr: msg.Addr, Epoch: msg.Epoch})
 }
 
 // onFwd handles FwdS/FwdX from the directory: supply the line to the
@@ -868,11 +925,11 @@ func (c *Cache) onFwd(src interconnect.NodeID, msg Msg) {
 	// A transaction of our own is still in flight for this line (our Data
 	// has not arrived, or our write is not yet performed): park the forward
 	// until the MSHR completes so the local access stays atomic.
-	if c.mshrs[msg.Addr] != nil {
-		c.pendingFwds[msg.Addr] = append(c.pendingFwds[msg.Addr], stalledFwd{src: src, msg: msg, since: c.engine.Now()})
+	if st := c.lookup(msg.Addr); st != nil && st.m != nil {
+		st.parked = append(st.parked, stalledFwd{src: src, msg: msg, since: c.engine.Now()})
 		return
 	}
-	l := c.lines[msg.Addr]
+	l := c.copyOf(msg.Addr)
 	if l == nil || l.state != Exclusive {
 		c.tolerate("stale_fwd", src, msg, "%s for x%d we do not own", msg.Kind, msg.Addr)
 		return
@@ -895,7 +952,7 @@ func (c *Cache) onFwd(src interconnect.NodeID, msg Msg) {
 }
 
 func (c *Cache) serviceFwd(src interconnect.NodeID, msg Msg) {
-	l := c.lines[msg.Addr]
+	l := c.copyOf(msg.Addr)
 	if l == nil || l.state != Exclusive {
 		c.tolerate("stale_fwd", src, msg, "servicing %s for x%d we no longer own", msg.Kind, msg.Addr)
 		return
@@ -908,13 +965,13 @@ func (c *Cache) serviceFwd(src interconnect.NodeID, msg Msg) {
 		l.state = Shared
 		l.reserved = false
 		l.epoch = msg.Epoch
-		c.fabric.Send(c.ID, msg.Requester, Msg{Kind: MsgData, Addr: msg.Addr, Value: l.value, Performed: true, Seq: msg.Seq, Epoch: msg.Epoch})
-		c.fabric.Send(c.ID, c.dirFor(msg.Addr), Msg{Kind: MsgDowngrade, Addr: msg.Addr, Value: l.value, Epoch: msg.Epoch})
+		c.send(msg.Requester, Msg{Kind: MsgData, Addr: msg.Addr, Value: l.value, Performed: true, Seq: msg.Seq, Epoch: msg.Epoch})
+		c.send(c.dirFor(msg.Addr), Msg{Kind: MsgDowngrade, Addr: msg.Addr, Value: l.value, Epoch: msg.Epoch})
 	case MsgFwdX:
 		v := l.value
-		delete(c.lines, msg.Addr)
-		c.fabric.Send(c.ID, msg.Requester, Msg{Kind: MsgData, Addr: msg.Addr, Value: v, Excl: true, Performed: true, Seq: msg.Seq, Epoch: msg.Epoch})
-		c.fabric.Send(c.ID, c.dirFor(msg.Addr), Msg{Kind: MsgTransfer, Addr: msg.Addr, Value: v, Epoch: msg.Epoch})
+		*l = line{}
+		c.send(msg.Requester, Msg{Kind: MsgData, Addr: msg.Addr, Value: v, Excl: true, Performed: true, Seq: msg.Seq, Epoch: msg.Epoch})
+		c.send(c.dirFor(msg.Addr), Msg{Kind: MsgTransfer, Addr: msg.Addr, Value: v, Epoch: msg.Epoch})
 	default:
 		c.failMsg(src, msg, "serviceFwd of %s", msg.Kind)
 	}
@@ -923,7 +980,7 @@ func (c *Cache) serviceFwd(src interconnect.NodeID, msg Msg) {
 // Snoop returns the cached value for final-state collection after a run (the
 // machine asks the owner first, then memory).
 func (c *Cache) Snoop(a mem.Addr) (mem.Value, LineState) {
-	if l := c.lines[a]; l != nil {
+	if l := c.copyOf(a); l != nil {
 		return l.value, l.state
 	}
 	return 0, Invalid

@@ -20,10 +20,37 @@ func newRig(t *testing.T, init map[mem.Addr]mem.Value) *rig {
 	t.Helper()
 	e := sim.NewEngine(1_000_000, 1_000_000)
 	net := interconnect.NewNetwork(e, 2, 0, nil, true)
-	dir := NewDirectory(2, e, net, 1, init)
-	c0 := New(0, e, net, 2, 1)
-	c1 := New(1, e, net, 2, 1)
+	msgs := new(MsgPool)
+	dir := NewDirectory(2, e, net, msgs, 1, init)
+	c0 := New(0, e, net, msgs, 2, 1)
+	c1 := New(1, e, net, msgs, 2, 1)
 	return &rig{engine: e, c0: c0, c1: c1, dir: dir}
+}
+
+// funcSink adapts closures to IssueSink, so tests can write an access's
+// continuations inline.
+type funcSink struct {
+	committed func(v mem.Value)
+	performed func()
+}
+
+func (f funcSink) LineCommitted(_ *IssueCtx, v mem.Value) { f.committed(v) }
+
+func (f funcSink) LinePerformed(*IssueCtx) {
+	if f.performed != nil {
+		f.performed()
+	}
+}
+
+// acquireShared issues a shared access whose commit runs done.
+func acquireShared(c *Cache, a mem.Addr, sync bool, done func(v mem.Value)) {
+	c.AcquireSharedCtx(a, sync, funcSink{committed: done}, IssueCtx{})
+}
+
+// acquireExclusive issues an exclusive access whose commit runs committed
+// and whose global performance runs performed (nil allowed).
+func acquireExclusive(c *Cache, a mem.Addr, sync bool, committed func(old mem.Value), performed func()) {
+	c.AcquireExclusiveCtx(a, sync, funcSink{committed: committed, performed: performed}, IssueCtx{})
 }
 
 func (r *rig) run(t *testing.T) {
@@ -36,7 +63,7 @@ func (r *rig) run(t *testing.T) {
 func TestReadMissInstallsShared(t *testing.T) {
 	r := newRig(t, map[mem.Addr]mem.Value{7: 42})
 	var got mem.Value = -1
-	r.c0.AcquireShared(7, false, func(v mem.Value) { got = v })
+	acquireShared(r.c0, 7, false, func(v mem.Value) { got = v })
 	r.run(t)
 	if got != 42 {
 		t.Fatalf("read = %d", got)
@@ -49,7 +76,7 @@ func TestReadMissInstallsShared(t *testing.T) {
 	}
 	// Second read is a hit: no new transaction.
 	misses := r.c0.Stats.Get("read_misses")
-	r.c0.AcquireShared(7, false, func(v mem.Value) { got = v })
+	acquireShared(r.c0, 7, false, func(v mem.Value) { got = v })
 	r.run(t)
 	if r.c0.Stats.Get("read_misses") != misses {
 		t.Error("second read should hit")
@@ -59,7 +86,7 @@ func TestReadMissInstallsShared(t *testing.T) {
 func TestWriteMissToUnownedIsImmediatelyPerformed(t *testing.T) {
 	r := newRig(t, nil)
 	committed, performed := false, false
-	r.c0.AcquireExclusive(3, false, func(old mem.Value) {
+	acquireExclusive(r.c0, 3, false, func(old mem.Value) {
 		committed = true
 		r.c0.WriteLocal(3, 5)
 	}, func() { performed = true })
@@ -77,11 +104,11 @@ func TestWriteMissToUnownedIsImmediatelyPerformed(t *testing.T) {
 
 func TestWriteToSharedCollectsInvAck(t *testing.T) {
 	r := newRig(t, map[mem.Addr]mem.Value{1: 9})
-	r.c1.AcquireShared(1, false, func(mem.Value) {})
+	acquireShared(r.c1, 1, false, func(mem.Value) {})
 	r.run(t)
 	// c0 upgrades: c1 must be invalidated; commit happens before performed.
 	var commitAt, performAt sim.Time
-	r.c0.AcquireExclusive(1, false, func(old mem.Value) {
+	acquireExclusive(r.c0, 1, false, func(old mem.Value) {
 		if old != 9 {
 			t.Errorf("old = %d", old)
 		}
@@ -105,10 +132,10 @@ func TestWriteToSharedCollectsInvAck(t *testing.T) {
 
 func TestOwnershipTransferOnWrite(t *testing.T) {
 	r := newRig(t, nil)
-	r.c0.AcquireExclusive(4, false, func(mem.Value) { r.c0.WriteLocal(4, 1) }, nil)
+	acquireExclusive(r.c0, 4, false, func(mem.Value) { r.c0.WriteLocal(4, 1) }, nil)
 	r.run(t)
 	var old mem.Value = -1
-	r.c1.AcquireExclusive(4, false, func(v mem.Value) {
+	acquireExclusive(r.c1, 4, false, func(v mem.Value) {
 		old = v
 		r.c1.WriteLocal(4, 2)
 	}, nil)
@@ -126,10 +153,10 @@ func TestOwnershipTransferOnWrite(t *testing.T) {
 
 func TestOwnerDowngradeOnRead(t *testing.T) {
 	r := newRig(t, nil)
-	r.c0.AcquireExclusive(5, false, func(mem.Value) { r.c0.WriteLocal(5, 77) }, nil)
+	acquireExclusive(r.c0, 5, false, func(mem.Value) { r.c0.WriteLocal(5, 77) }, nil)
 	r.run(t)
 	var got mem.Value
-	r.c1.AcquireShared(5, false, func(v mem.Value) { got = v })
+	acquireShared(r.c1, 5, false, func(v mem.Value) { got = v })
 	r.run(t)
 	if got != 77 {
 		t.Fatalf("read-through-owner = %d", got)
@@ -145,13 +172,13 @@ func TestOwnerDowngradeOnRead(t *testing.T) {
 func TestReserveStallsRemoteSync(t *testing.T) {
 	r := newRig(t, map[mem.Addr]mem.Value{1: 0, 2: 0})
 	// c1 shares line 2 so c0's write to it needs an invalidation round.
-	r.c1.AcquireShared(2, false, func(mem.Value) {})
+	acquireShared(r.c1, 2, false, func(mem.Value) {})
 	r.run(t)
 	// c0: acquire the sync line 1 exclusively, then start a slow write to
 	// line 2 and reserve line 1 while the write is outstanding.
-	r.c0.AcquireExclusive(1, true, func(mem.Value) { r.c0.WriteLocal(1, 1) }, nil)
+	acquireExclusive(r.c0, 1, true, func(mem.Value) { r.c0.WriteLocal(1, 1) }, nil)
 	r.run(t)
-	r.c0.AcquireExclusive(2, false, func(mem.Value) { r.c0.WriteLocal(2, 9) }, nil)
+	acquireExclusive(r.c0, 2, false, func(mem.Value) { r.c0.WriteLocal(2, 9) }, nil)
 	if r.c0.Counter() == 0 {
 		t.Fatal("write should be outstanding")
 	}
@@ -163,7 +190,7 @@ func TestReserveStallsRemoteSync(t *testing.T) {
 	// reads zero — and when it does, the reserve bit must be clear.
 	var syncDone sim.Time
 	counterAtService := -1
-	r.c1.AcquireExclusive(1, true, func(old mem.Value) {
+	acquireExclusive(r.c1, 1, true, func(old mem.Value) {
 		syncDone = r.engine.Now()
 		counterAtService = r.c0.Counter()
 		r.c1.WriteLocal(1, 2)
@@ -185,16 +212,16 @@ func TestReserveStallsRemoteSync(t *testing.T) {
 
 func TestDataFwdNotStalledByReserve(t *testing.T) {
 	r := newRig(t, map[mem.Addr]mem.Value{1: 0, 2: 0})
-	r.c1.AcquireShared(2, false, func(mem.Value) {})
+	acquireShared(r.c1, 2, false, func(mem.Value) {})
 	r.run(t)
-	r.c0.AcquireExclusive(1, true, func(mem.Value) { r.c0.WriteLocal(1, 1) }, nil)
+	acquireExclusive(r.c0, 1, true, func(mem.Value) { r.c0.WriteLocal(1, 1) }, nil)
 	r.run(t)
-	r.c0.AcquireExclusive(2, false, func(mem.Value) { r.c0.WriteLocal(2, 9) }, nil)
+	acquireExclusive(r.c0, 2, false, func(mem.Value) { r.c0.WriteLocal(2, 9) }, nil)
 	r.c0.Reserve(1)
 	// A *data* read of the reserved line is serviced immediately (only
 	// synchronization requests stall on reserve bits).
 	var got mem.Value = -1
-	r.c1.AcquireShared(1, false, func(v mem.Value) { got = v })
+	acquireShared(r.c1, 1, false, func(v mem.Value) { got = v })
 	r.run(t)
 	if got != 1 {
 		t.Fatalf("data read of reserved line = %d, want 1", got)
@@ -212,7 +239,7 @@ func TestOnCounterZeroImmediateWhenIdle(t *testing.T) {
 
 func TestBusyAndOnFree(t *testing.T) {
 	r := newRig(t, nil)
-	r.c0.AcquireExclusive(6, false, func(mem.Value) { r.c0.WriteLocal(6, 1) }, nil)
+	acquireExclusive(r.c0, 6, false, func(mem.Value) { r.c0.WriteLocal(6, 1) }, nil)
 	if !r.c0.Busy(6) {
 		t.Fatal("MSHR should be busy")
 	}

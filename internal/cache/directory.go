@@ -2,7 +2,8 @@ package cache
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"weakorder/internal/interconnect"
 	"weakorder/internal/mem"
@@ -14,12 +15,16 @@ import (
 // dirLine is the directory's view of one line: exclusive owner or sharer set,
 // the memory value, and a per-line transaction queue (the directory processes
 // one transaction per line at a time, queueing the rest in arrival order).
+// A line is created on its address's first request and every per-transaction
+// set and buffer in it is reset in place, never re-made.
 type dirLine struct {
 	owner   interconnect.NodeID // -1 when none
-	sharers map[interconnect.NodeID]bool
+	sharers nodeSet
 	value   mem.Value
 	busy    bool
-	queue   []queuedReq
+	// queue[qhead:] holds the waiting requests, oldest first.
+	queue []queuedReq
+	qhead int
 	// epoch numbers this line's transactions; it increments when one opens
 	// and is stamped on every message the transaction emits, so stale
 	// (duplicated or delayed) acknowledgements and forwards identify
@@ -28,16 +33,15 @@ type dirLine struct {
 	// pendingFrom is the set of nodes whose InvAck/UpdateAck the in-flight
 	// transaction still awaits. A set, not a counter: a duplicated ack from
 	// a node already accounted for cannot decrement twice.
-	pendingFrom map[interconnect.NodeID]bool
+	pendingFrom nodeSet
 	requester   interconnect.NodeID
-	// curSrc/curSeq identify the request that opened the in-flight
-	// transaction, and seen records the highest request seq ever opened per
-	// source, so a fabric-duplicated request (same src and seq) is ignored
-	// rather than re-processed — re-processing a completed GetX could steal
-	// ownership from its rightful current holder.
-	curSrc interconnect.NodeID
-	curSeq uint64
-	seen   map[interconnect.NodeID]uint64
+	// cur is the request that opened the in-flight transaction, and
+	// seen[src] the highest request seq ever opened from src, so a
+	// fabric-duplicated request (same src and seq) is ignored rather than
+	// re-processed — re-processing a completed GetX could steal ownership
+	// from its rightful current holder.
+	cur  queuedReq
+	seen []uint64
 	// busySince is when the in-flight transaction opened (watchdog input).
 	busySince sim.Time
 }
@@ -45,6 +49,77 @@ type dirLine struct {
 type queuedReq struct {
 	src interconnect.NodeID
 	msg Msg
+}
+
+// queued returns the number of waiting requests.
+func (l *dirLine) queued() int { return len(l.queue) - l.qhead }
+
+// enqueue appends a request, first sliding the waiting requests down over
+// the consumed prefix when the buffer is full, so a line under steady
+// contention reuses one buffer.
+func (l *dirLine) enqueue(q queuedReq) {
+	if l.qhead > 0 && len(l.queue) == cap(l.queue) {
+		l.queue = l.queue[:copy(l.queue, l.queue[l.qhead:])]
+		l.qhead = 0
+	}
+	l.queue = append(l.queue, q)
+}
+
+// dequeue removes and returns the oldest waiting request.
+func (l *dirLine) dequeue() queuedReq {
+	q := l.queue[l.qhead]
+	l.qhead++
+	if l.qhead == len(l.queue) {
+		l.queue, l.qhead = l.queue[:0], 0
+	}
+	return q
+}
+
+// nodeSet is a set of fabric nodes, one bit per NodeID. Clearing keeps the
+// words, and iteration yields ascending NodeIDs — the deterministic multicast
+// order the per-message jitter draws and bus slots depend on.
+type nodeSet []uint64
+
+func (s *nodeSet) add(n interconnect.NodeID) {
+	w := int(n) >> 6
+	for w >= len(*s) {
+		*s = append(*s, 0)
+	}
+	(*s)[w] |= 1 << (uint(n) & 63)
+}
+
+func (s nodeSet) has(n interconnect.NodeID) bool {
+	w := int(n) >> 6
+	return w < len(s) && s[w]&(1<<(uint(n)&63)) != 0
+}
+
+func (s nodeSet) remove(n interconnect.NodeID) {
+	if w := int(n) >> 6; w < len(s) {
+		s[w] &^= 1 << (uint(n) & 63)
+	}
+}
+
+func (s nodeSet) empty() bool {
+	for _, w := range s {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// appendExcept appends the members other than skip in ascending order.
+func (s nodeSet) appendExcept(dst []interconnect.NodeID, skip interconnect.NodeID) []interconnect.NodeID {
+	for i, w := range s {
+		for w != 0 {
+			n := interconnect.NodeID(i<<6 + bits.TrailingZeros64(w))
+			w &= w - 1
+			if n != skip {
+				dst = append(dst, n)
+			}
+		}
+	}
+	return dst
 }
 
 // DirShard is one home node: a full-map directory plus backing memory for
@@ -56,9 +131,16 @@ type DirShard struct {
 	ID     interconnect.NodeID
 	engine *sim.Engine
 	fabric interconnect.Fabric
+	msgs   *MsgPool
 	memLat sim.Time
 	lines  map[mem.Addr]*dirLine
 	Stats  *stats.Counters
+
+	// lookup fires process when a transaction's memory latency has elapsed;
+	// the event carries the line, whose cur field holds the request.
+	lookup sim.Sink
+	// targets is the multicast scratch list process fills per transaction.
+	targets []interconnect.NodeID
 
 	// Hot-path counter handles (see stats.Hot).
 	hGets, hGetx, hQueued stats.Hot
@@ -90,10 +172,11 @@ type DirShard struct {
 	rec *metrics.Recorder
 }
 
-// NewDirectory builds the directory/memory controller. init supplies initial
+// NewDirectory builds the directory/memory controller. It sends from and
+// recycles into the machine's message pool msgs. init supplies initial
 // memory contents; memLat is the lookup latency applied to each request it
 // processes.
-func NewDirectory(id interconnect.NodeID, engine *sim.Engine, fabric interconnect.Fabric, memLat sim.Time, init map[mem.Addr]mem.Value) *DirShard {
+func NewDirectory(id interconnect.NodeID, engine *sim.Engine, fabric interconnect.Fabric, msgs *MsgPool, memLat sim.Time, init map[mem.Addr]mem.Value) *DirShard {
 	if memLat < 1 {
 		memLat = 1
 	}
@@ -101,16 +184,31 @@ func NewDirectory(id interconnect.NodeID, engine *sim.Engine, fabric interconnec
 		ID:     id,
 		engine: engine,
 		fabric: fabric,
+		msgs:   msgs,
 		memLat: memLat,
 		lines:  make(map[mem.Addr]*dirLine),
 		Stats:  stats.NewCounters(),
 	}
+	d.lookup = lookupDone{d}
 	for a, v := range init {
 		d.lines[a] = d.newLine(v)
 	}
 	fabric.Attach(id, d)
 	return d
 }
+
+// lookupDone is the sim.Sink behind DirShard.lookup.
+type lookupDone struct{ d *DirShard }
+
+// DeliverEvent implements sim.Sink: line is the *dirLine whose transaction
+// open scheduled the event.
+func (e lookupDone) DeliverEvent(_ int, line any) {
+	l := line.(*dirLine)
+	e.d.process(l, l.cur.src, l.cur.msg)
+}
+
+// send hands a message to the fabric in a pooled record.
+func (d *DirShard) send(dst interconnect.NodeID, m Msg) { d.msgs.send(d.fabric, d.ID, dst, m) }
 
 // SetLenient switches the directory into fault-tolerant mode (see
 // Cache.SetLenient).
@@ -175,13 +273,7 @@ func (d *DirShard) tolerate(stat string, src interconnect.NodeID, msg Msg, forma
 }
 
 func (d *DirShard) newLine(v mem.Value) *dirLine {
-	return &dirLine{
-		owner:       -1,
-		sharers:     make(map[interconnect.NodeID]bool),
-		value:       v,
-		pendingFrom: make(map[interconnect.NodeID]bool),
-		seen:        make(map[interconnect.NodeID]uint64),
-	}
+	return &dirLine{owner: -1, value: v}
 }
 
 func (d *DirShard) line(a mem.Addr) *dirLine {
@@ -200,13 +292,13 @@ func (d *DirShard) dupRequest(l *dirLine, src interconnect.NodeID, msg Msg) bool
 	if msg.Seq == 0 {
 		return false
 	}
-	if l.seen[src] >= msg.Seq {
+	if int(src) < len(l.seen) && l.seen[src] >= msg.Seq {
 		return true
 	}
-	if l.busy && l.curSrc == src && l.curSeq == msg.Seq {
+	if l.busy && l.cur.src == src && l.cur.msg.Seq == msg.Seq {
 		return true
 	}
-	for _, q := range l.queue {
+	for _, q := range l.queue[l.qhead:] {
 		if q.src == src && q.msg.Seq == msg.Seq {
 			return true
 		}
@@ -219,9 +311,11 @@ func (d *DirShard) dupRequest(l *dirLine, src interconnect.NodeID, msg Msg) bool
 func (d *DirShard) open(l *dirLine, src interconnect.NodeID, msg Msg) {
 	l.busy = true
 	l.epoch++
-	l.curSrc = src
-	l.curSeq = msg.Seq
+	l.cur = queuedReq{src, msg}
 	l.busySince = d.engine.Now()
+	if int(src) >= len(l.seen) {
+		l.seen = append(l.seen, make([]uint64, int(src)+1-len(l.seen))...)
+	}
 	if msg.Seq > l.seen[src] {
 		l.seen[src] = msg.Seq
 	}
@@ -229,7 +323,7 @@ func (d *DirShard) open(l *dirLine, src interconnect.NodeID, msg Msg) {
 		d.rec.DirOpen(msg.Addr, fmt.Sprintf("%s P%d", msg.Kind, src))
 	}
 	d.armWatchdog()
-	d.engine.After(d.memLat, func() { d.process(l, src, msg) })
+	d.engine.DeliverAt(d.engine.Now()+d.memLat, d.lookup, int(src), l)
 }
 
 // closeTxn ends the line's in-flight transaction.
@@ -240,10 +334,10 @@ func (d *DirShard) closeTxn(a mem.Addr, l *dirLine) {
 
 // Deliver implements interconnect.Endpoint.
 func (d *DirShard) Deliver(src interconnect.NodeID, m interconnect.Message) {
+	msg, ok := d.msgs.take(m)
 	if d.engine.Failed() != nil {
 		return
 	}
-	msg, ok := m.(Msg)
 	if !ok {
 		d.engine.Fail(&ProtocolError{
 			Node: d.ID, Dir: true, Cycle: d.engine.Now(),
@@ -260,19 +354,19 @@ func (d *DirShard) Deliver(src interconnect.NodeID, m interconnect.Message) {
 		}
 		depth := 0
 		if l.busy {
-			depth = 1 + len(l.queue)
+			depth = 1 + l.queued()
 		}
 		if depth >= occBuckets {
 			depth = occBuckets - 1
 		}
 		d.occ[depth]++
 		if l.busy {
-			if d.queueLimit > 0 && len(l.queue) >= d.queueLimit {
+			if d.queueLimit > 0 && l.queued() >= d.queueLimit {
 				d.Stats.Add("nacks_sent", 1)
-				d.fabric.Send(d.ID, src, Msg{Kind: MsgNack, Addr: msg.Addr, Seq: msg.Seq})
+				d.send(src, Msg{Kind: MsgNack, Addr: msg.Addr, Seq: msg.Seq})
 				return
 			}
-			l.queue = append(l.queue, queuedReq{src, msg})
+			l.enqueue(queuedReq{src, msg})
 			d.hQueued.Add(d.Stats, "queued_requests", 1)
 			return
 		}
@@ -301,25 +395,25 @@ func (d *DirShard) process(l *dirLine, src interconnect.NodeID, msg Msg) {
 			// for it will be routed to Pi"). The line stays busy until the
 			// owner's Downgrade arrives.
 			l.requester = src
-			d.fabric.Send(d.ID, l.owner, Msg{Kind: MsgFwdS, Addr: msg.Addr, Requester: src, Sync: msg.Sync, Seq: msg.Seq, Epoch: l.epoch})
+			d.send(l.owner, Msg{Kind: MsgFwdS, Addr: msg.Addr, Requester: src, Sync: msg.Sync, Seq: msg.Seq, Epoch: l.epoch})
 			return
 		}
 		if l.owner == src {
 			// The recorded owner re-reading its own line cannot happen
 			// fault-free (it would hit locally); re-grant for robustness.
 			d.closeTxn(msg.Addr, l)
-			d.fabric.Send(d.ID, src, Msg{Kind: MsgData, Addr: msg.Addr, Value: l.value, Excl: true, Performed: true, Seq: msg.Seq, Epoch: l.epoch})
+			d.send(src, Msg{Kind: MsgData, Addr: msg.Addr, Value: l.value, Excl: true, Performed: true, Seq: msg.Seq, Epoch: l.epoch})
 			d.drain(l)
 			return
 		}
-		l.sharers[src] = true
+		l.sharers.add(src)
 		d.closeTxn(msg.Addr, l)
-		d.fabric.Send(d.ID, src, Msg{Kind: MsgData, Addr: msg.Addr, Value: l.value, Performed: true, Seq: msg.Seq, Epoch: l.epoch})
+		d.send(src, Msg{Kind: MsgData, Addr: msg.Addr, Value: l.value, Performed: true, Seq: msg.Seq, Epoch: l.epoch})
 		d.drain(l)
 	case MsgGetX:
 		d.hGetx.Add(d.Stats, "getx", 1)
 		if l.owner >= 0 && l.owner != src {
-			d.fabric.Send(d.ID, l.owner, Msg{Kind: MsgFwdX, Addr: msg.Addr, Requester: src, Sync: msg.Sync, Seq: msg.Seq, Epoch: l.epoch})
+			d.send(l.owner, Msg{Kind: MsgFwdX, Addr: msg.Addr, Requester: src, Sync: msg.Sync, Seq: msg.Seq, Epoch: l.epoch})
 			l.requester = src
 			return
 		}
@@ -327,35 +421,27 @@ func (d *DirShard) process(l *dirLine, src interconnect.NodeID, msg Msg) {
 			// The owner re-requesting exclusivity cannot happen without
 			// evictions; treat as immediate re-grant for robustness.
 			d.closeTxn(msg.Addr, l)
-			d.fabric.Send(d.ID, src, Msg{Kind: MsgData, Addr: msg.Addr, Value: l.value, Excl: true, Performed: true, Seq: msg.Seq, Epoch: l.epoch})
+			d.send(src, Msg{Kind: MsgData, Addr: msg.Addr, Value: l.value, Excl: true, Performed: true, Seq: msg.Seq, Epoch: l.epoch})
 			d.drain(l)
 			return
 		}
 		// Invalidate sharers (if any); forward the line to the requester in
 		// parallel, per the paper's protocol.
-		targets := make([]interconnect.NodeID, 0, len(l.sharers))
-		for s := range l.sharers {
-			if s != src {
-				targets = append(targets, s)
-			}
-		}
-		sortNodes(targets)
-		l.sharers = make(map[interconnect.NodeID]bool)
+		targets := l.sharers.appendExcept(d.targets[:0], src)
+		d.targets = targets
+		clear(l.sharers)
 		l.owner = src
 		if len(targets) == 0 {
 			d.closeTxn(msg.Addr, l)
-			d.fabric.Send(d.ID, src, Msg{Kind: MsgData, Addr: msg.Addr, Value: l.value, Excl: true, Performed: true, Seq: msg.Seq, Epoch: l.epoch})
+			d.send(src, Msg{Kind: MsgData, Addr: msg.Addr, Value: l.value, Excl: true, Performed: true, Seq: msg.Seq, Epoch: l.epoch})
 			d.drain(l)
 			return
 		}
-		l.pendingFrom = make(map[interconnect.NodeID]bool, len(targets))
-		for _, t := range targets {
-			l.pendingFrom[t] = true
-		}
+		l.awaitAcks(targets)
 		l.requester = src
-		d.fabric.Send(d.ID, src, Msg{Kind: MsgData, Addr: msg.Addr, Value: l.value, Excl: true, Performed: false, Seq: msg.Seq, Epoch: l.epoch})
+		d.send(src, Msg{Kind: MsgData, Addr: msg.Addr, Value: l.value, Excl: true, Performed: false, Seq: msg.Seq, Epoch: l.epoch})
 		for _, t := range targets {
-			d.fabric.Send(d.ID, t, Msg{Kind: MsgInv, Addr: msg.Addr, Epoch: l.epoch})
+			d.send(t, Msg{Kind: MsgInv, Addr: msg.Addr, Epoch: l.epoch})
 		}
 	case MsgUpdateReq:
 		// Write-update data path: memory takes the value; every other
@@ -363,32 +449,33 @@ func (d *DirShard) process(l *dirLine, src interconnect.NodeID, msg Msg) {
 		// acknowledged (its write is then globally performed).
 		d.Stats.Add("updates", 1)
 		l.value = msg.Value
-		targets := make([]interconnect.NodeID, 0, len(l.sharers)+1)
-		for s := range l.sharers {
-			if s != src {
-				targets = append(targets, s)
-			}
-		}
+		targets := l.sharers.appendExcept(d.targets[:0], src)
 		if l.owner >= 0 && l.owner != src {
-			targets = append(targets, l.owner)
+			i, _ := slices.BinarySearch(targets, l.owner)
+			targets = slices.Insert(targets, i, l.owner)
 		}
-		sortNodes(targets)
+		d.targets = targets
 		if len(targets) == 0 {
 			d.closeTxn(msg.Addr, l)
-			d.fabric.Send(d.ID, src, Msg{Kind: MsgWriteAck, Addr: msg.Addr, Seq: msg.Seq, Epoch: l.epoch})
+			d.send(src, Msg{Kind: MsgWriteAck, Addr: msg.Addr, Seq: msg.Seq, Epoch: l.epoch})
 			d.drain(l)
 			return
 		}
-		l.pendingFrom = make(map[interconnect.NodeID]bool, len(targets))
-		for _, t := range targets {
-			l.pendingFrom[t] = true
-		}
+		l.awaitAcks(targets)
 		l.requester = src
 		for _, t := range targets {
-			d.fabric.Send(d.ID, t, Msg{Kind: MsgUpdate, Addr: msg.Addr, Value: msg.Value, Epoch: l.epoch})
+			d.send(t, Msg{Kind: MsgUpdate, Addr: msg.Addr, Value: msg.Value, Epoch: l.epoch})
 		}
 	default:
 		d.failMsg(src, msg, "process %s", msg.Kind)
+	}
+}
+
+// awaitAcks makes targets the set of nodes the transaction awaits acks from.
+func (l *dirLine) awaitAcks(targets []interconnect.NodeID) {
+	clear(l.pendingFrom)
+	for _, t := range targets {
+		l.pendingFrom.add(t)
 	}
 }
 
@@ -397,7 +484,7 @@ func (d *DirShard) process(l *dirLine, src interconnect.NodeID, msg Msg) {
 // so the completion condition can never be reached early by double-counting.
 func (d *DirShard) onAck(src interconnect.NodeID, msg Msg) {
 	l := d.line(msg.Addr)
-	if !l.busy || len(l.pendingFrom) == 0 {
+	if !l.busy || l.pendingFrom.empty() {
 		d.tolerate("stray_ack", src, msg, "stray %s for x%d", msg.Kind, msg.Addr)
 		return
 	}
@@ -405,16 +492,16 @@ func (d *DirShard) onAck(src interconnect.NodeID, msg Msg) {
 		d.tolerate("stale_ack", src, msg, "%s for x%d from a closed epoch (current %d)", msg.Kind, msg.Addr, l.epoch)
 		return
 	}
-	if !l.pendingFrom[src] {
+	if !l.pendingFrom.has(src) {
 		d.tolerate("dup_ack", src, msg, "%s for x%d from node %d not pending", msg.Kind, msg.Addr, src)
 		return
 	}
-	delete(l.pendingFrom, src)
-	if len(l.pendingFrom) == 0 {
+	l.pendingFrom.remove(src)
+	if l.pendingFrom.empty() {
 		// "When the directory receives all the acks pertaining to a
 		// particular write, it sends its ack to the processor cache that
 		// issued the write."
-		d.fabric.Send(d.ID, l.requester, Msg{Kind: MsgWriteAck, Addr: msg.Addr, Seq: l.curSeq, Epoch: l.epoch})
+		d.send(l.requester, Msg{Kind: MsgWriteAck, Addr: msg.Addr, Seq: l.cur.msg.Seq, Epoch: l.epoch})
 		d.closeTxn(msg.Addr, l)
 		d.drain(l)
 	}
@@ -433,8 +520,8 @@ func (d *DirShard) onDowngrade(src interconnect.NodeID, msg Msg) {
 	l.value = msg.Value
 	// Both the downgraded old owner and the requester (supplied directly by
 	// the old owner) now hold shared copies.
-	l.sharers[l.owner] = true
-	l.sharers[l.requester] = true
+	l.sharers.add(l.owner)
+	l.sharers.add(l.requester)
 	l.owner = -1
 	d.closeTxn(msg.Addr, l)
 	d.drain(l)
@@ -456,20 +543,12 @@ func (d *DirShard) onTransfer(src interconnect.NodeID, msg Msg) {
 	d.drain(l)
 }
 
-// sortNodes orders a multicast target list. The sharer set is a map, so
-// without the sort the send order — and with it the per-message jitter draw
-// and bus occupancy slots — would vary run to run on identical configs.
-func sortNodes(ns []interconnect.NodeID) {
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-}
-
 // drain processes the next queued request for the line, if any.
 func (d *DirShard) drain(l *dirLine) {
-	if l.busy || len(l.queue) == 0 {
+	if l.busy || l.queued() == 0 {
 		return
 	}
-	q := l.queue[0]
-	l.queue = l.queue[1:]
+	q := l.dequeue()
 	d.open(l, q.src, q.msg)
 }
 
@@ -506,7 +585,7 @@ func (d *DirShard) watchdogTick() {
 	}
 	if expired != nil {
 		d.fail(ErrWatchdog, "transaction for x%d (from node %d, seq %d, epoch %d) busy since cycle %d",
-			expiredAddr, expired.curSrc, expired.curSeq, expired.epoch, expired.busySince)
+			expiredAddr, expired.cur.src, expired.cur.msg.Seq, expired.epoch, expired.busySince)
 		return
 	}
 	if anyBusy {

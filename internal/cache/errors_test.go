@@ -13,7 +13,7 @@ import (
 // transaction.
 func ownLine(t *testing.T, r *rig, c *Cache, a mem.Addr, v mem.Value) {
 	t.Helper()
-	c.AcquireExclusive(a, false, func(mem.Value) { c.WriteLocal(a, v) }, nil)
+	acquireExclusive(c, a, false, func(mem.Value) { c.WriteLocal(a, v) }, nil)
 	r.run(t)
 	if c.State(a) != Exclusive {
 		t.Fatalf("setup: line x%d state = %s, want E", a, c.State(a))
@@ -37,16 +37,16 @@ func TestProtocolErrors(t *testing.T) {
 			r.c0.decCounter(false)
 		}, "counter went negative"},
 		{"AcquireShared on busy MSHR", func(t *testing.T, r *rig) {
-			r.c0.AcquireShared(1, false, func(mem.Value) {})
-			r.c0.AcquireShared(1, false, func(mem.Value) {})
+			acquireShared(r.c0, 1, false, func(mem.Value) {})
+			acquireShared(r.c0, 1, false, func(mem.Value) {})
 		}, "AcquireShared with busy MSHR"},
 		{"AcquireExclusive on busy MSHR", func(t *testing.T, r *rig) {
-			r.c0.AcquireExclusive(1, false, func(mem.Value) {}, nil)
-			r.c0.AcquireExclusive(1, false, func(mem.Value) {}, nil)
+			acquireExclusive(r.c0, 1, false, func(mem.Value) {}, nil)
+			acquireExclusive(r.c0, 1, false, func(mem.Value) {}, nil)
 		}, "AcquireExclusive with busy MSHR"},
 		{"WriteUpdate on busy MSHR", func(t *testing.T, r *rig) {
-			r.c0.AcquireExclusive(1, false, func(mem.Value) {}, nil)
-			r.c0.WriteUpdate(1, 5, nil)
+			acquireExclusive(r.c0, 1, false, func(mem.Value) {}, nil)
+			r.c0.WriteUpdate(1, 5, nil, IssueCtx{})
 		}, "WriteUpdate with busy MSHR"},
 		{"WriteLocal to non-exclusive line", func(t *testing.T, r *rig) {
 			r.c0.WriteLocal(9, 1)
@@ -58,16 +58,16 @@ func TestProtocolErrors(t *testing.T) {
 			r.c0.Deliver(2, "not a protocol message")
 		}, "non-protocol message"},
 		{"request delivered to cache", func(t *testing.T, r *rig) {
-			r.c0.Deliver(2, Msg{Kind: MsgGetS, Addr: 1})
+			r.c0.Deliver(2, &Msg{Kind: MsgGetS, Addr: 1})
 		}, "unexpected GetS"},
 		{"Data with no MSHR", func(t *testing.T, r *rig) {
-			r.c0.Deliver(2, Msg{Kind: MsgData, Addr: 1, Value: 3})
+			r.c0.Deliver(2, &Msg{Kind: MsgData, Addr: 1, Value: 3})
 		}, "Data for x1 with no MSHR"},
 		{"WriteAck with no MSHR", func(t *testing.T, r *rig) {
-			r.c0.Deliver(2, Msg{Kind: MsgWriteAck, Addr: 1})
+			r.c0.Deliver(2, &Msg{Kind: MsgWriteAck, Addr: 1})
 		}, "WriteAck for x1 with no MSHR"},
 		{"forward for unowned line", func(t *testing.T, r *rig) {
-			r.c0.Deliver(2, Msg{Kind: MsgFwdS, Addr: 1, Requester: 1})
+			r.c0.Deliver(2, &Msg{Kind: MsgFwdS, Addr: 1, Requester: 1})
 		}, "we do not own"},
 		{"serviced forward after losing the line", func(t *testing.T, r *rig) {
 			r.c0.serviceFwd(2, Msg{Kind: MsgFwdX, Addr: 9, Requester: 1})
@@ -80,32 +80,32 @@ func TestProtocolErrors(t *testing.T) {
 		// Strict-mode checks on the recovery machinery (lenient mode tolerates
 		// these; without faults they are protocol bugs).
 		{"Data with stale seq", func(t *testing.T, r *rig) {
-			r.c0.AcquireShared(1, false, func(mem.Value) {})
-			r.c0.Deliver(2, Msg{Kind: MsgData, Addr: 1, Seq: 99})
+			acquireShared(r.c0, 1, false, func(mem.Value) {})
+			r.c0.Deliver(2, &Msg{Kind: MsgData, Addr: 1, Seq: 99})
 		}, "stale seq"},
 		{"duplicate Data", func(t *testing.T, r *rig) {
-			r.c0.AcquireExclusive(1, false, func(mem.Value) {}, nil)
-			r.c0.Deliver(2, Msg{Kind: MsgData, Addr: 1, Seq: 1, Excl: true})
-			r.c0.Deliver(2, Msg{Kind: MsgData, Addr: 1, Seq: 1, Excl: true})
+			acquireExclusive(r.c0, 1, false, func(mem.Value) {}, nil)
+			r.c0.Deliver(2, &Msg{Kind: MsgData, Addr: 1, Seq: 1, Excl: true})
+			r.c0.Deliver(2, &Msg{Kind: MsgData, Addr: 1, Seq: 1, Excl: true})
 		}, "duplicate Data"},
 		{"WriteAck with stale seq", func(t *testing.T, r *rig) {
-			r.c0.AcquireExclusive(1, false, func(mem.Value) {}, nil)
-			r.c0.Deliver(2, Msg{Kind: MsgWriteAck, Addr: 1, Seq: 99})
+			acquireExclusive(r.c0, 1, false, func(mem.Value) {}, nil)
+			r.c0.Deliver(2, &Msg{Kind: MsgWriteAck, Addr: 1, Seq: 99})
 		}, "stale seq"},
 		{"stale invalidation", func(t *testing.T, r *rig) {
 			ownLine(t, r, r.c0, 1, 7)
-			r.c0.Deliver(2, Msg{Kind: MsgInv, Addr: 1, Epoch: 1})
+			r.c0.Deliver(2, &Msg{Kind: MsgInv, Addr: 1, Epoch: 1})
 		}, "stale Inv"},
 		{"stale forward", func(t *testing.T, r *rig) {
 			ownLine(t, r, r.c0, 1, 7)
-			r.c0.Deliver(2, Msg{Kind: MsgFwdS, Addr: 1, Requester: 1, Epoch: 1})
+			r.c0.Deliver(2, &Msg{Kind: MsgFwdS, Addr: 1, Requester: 1, Epoch: 1})
 		}, "stale FwdS"},
 		{"Nack with no transaction", func(t *testing.T, r *rig) {
-			r.c0.Deliver(2, Msg{Kind: MsgNack, Addr: 1})
+			r.c0.Deliver(2, &Msg{Kind: MsgNack, Addr: 1})
 		}, "no matching transaction"},
 		{"Nack with retries disabled", func(t *testing.T, r *rig) {
-			r.c0.AcquireExclusive(1, false, func(mem.Value) {}, nil)
-			r.c0.Deliver(2, Msg{Kind: MsgNack, Addr: 1, Seq: 1})
+			acquireExclusive(r.c0, 1, false, func(mem.Value) {}, nil)
+			r.c0.Deliver(2, &Msg{Kind: MsgNack, Addr: 1, Seq: 1})
 		}, "retries are disabled"},
 
 		// Former panics in directory.go.
@@ -113,19 +113,19 @@ func TestProtocolErrors(t *testing.T) {
 			r.dir.Deliver(0, 42)
 		}, "non-protocol message"},
 		{"response delivered to directory", func(t *testing.T, r *rig) {
-			r.dir.Deliver(0, Msg{Kind: MsgData, Addr: 1})
+			r.dir.Deliver(0, &Msg{Kind: MsgData, Addr: 1})
 		}, "unexpected Data"},
 		{"directory processing a non-request", func(t *testing.T, r *rig) {
 			r.dir.process(r.dir.line(1), 0, Msg{Kind: MsgData, Addr: 1})
 		}, "process Data"},
 		{"stray InvAck", func(t *testing.T, r *rig) {
-			r.dir.Deliver(0, Msg{Kind: MsgInvAck, Addr: 5})
+			r.dir.Deliver(0, &Msg{Kind: MsgInvAck, Addr: 5})
 		}, "stray InvAck"},
 		{"stray Downgrade", func(t *testing.T, r *rig) {
-			r.dir.Deliver(0, Msg{Kind: MsgDowngrade, Addr: 5})
+			r.dir.Deliver(0, &Msg{Kind: MsgDowngrade, Addr: 5})
 		}, "stray Downgrade"},
 		{"stray Transfer", func(t *testing.T, r *rig) {
-			r.dir.Deliver(0, Msg{Kind: MsgTransfer, Addr: 5})
+			r.dir.Deliver(0, &Msg{Kind: MsgTransfer, Addr: 5})
 		}, "stray Transfer"},
 	}
 	for _, tc := range cases {
@@ -186,7 +186,7 @@ func newDropRig(t *testing.T, drop func(src, dst interconnect.NodeID, m intercon
 func TestRetryRecoversFromDroppedRequest(t *testing.T) {
 	dropped := false
 	r := newDropRig(t, func(src, dst interconnect.NodeID, m interconnect.Message) bool {
-		if msg, ok := m.(Msg); ok && msg.Kind == MsgGetS && !dropped {
+		if msg, ok := m.(*Msg); ok && msg.Kind == MsgGetS && !dropped {
 			dropped = true
 			return true
 		}
@@ -194,7 +194,7 @@ func TestRetryRecoversFromDroppedRequest(t *testing.T) {
 	})
 	r.c0.SetRetry(20, 3)
 	var got mem.Value = -1
-	r.c0.AcquireShared(1, false, func(v mem.Value) { got = v })
+	acquireShared(r.c0, 1, false, func(v mem.Value) { got = v })
 	r.run(t)
 	if !dropped {
 		t.Fatal("setup never dropped the request")
@@ -211,11 +211,11 @@ func TestRetryRecoversFromDroppedRequest(t *testing.T) {
 // surfaces ErrRetryExhausted (which is also an ErrProtocol).
 func TestRetryBudgetExhausts(t *testing.T) {
 	r := newDropRig(t, func(src, dst interconnect.NodeID, m interconnect.Message) bool {
-		msg, ok := m.(Msg)
+		msg, ok := m.(*Msg)
 		return ok && msg.Kind == MsgGetX
 	})
 	r.c0.SetRetry(10, 2)
-	r.c0.AcquireExclusive(1, false, func(mem.Value) {}, nil)
+	acquireExclusive(r.c0, 1, false, func(mem.Value) {}, nil)
 	err := r.engine.Run(nil)
 	if !errors.Is(err, ErrRetryExhausted) {
 		t.Fatalf("err = %v, want ErrRetryExhausted", err)
@@ -230,12 +230,12 @@ func TestRetryBudgetExhausts(t *testing.T) {
 // ErrWatchdog instead of spinning forever.
 func TestWatchdogNamesStuckTransaction(t *testing.T) {
 	r := newDropRig(t, func(src, dst interconnect.NodeID, m interconnect.Message) bool {
-		msg, ok := m.(Msg)
+		msg, ok := m.(*Msg)
 		return ok && (msg.Kind == MsgFwdX || msg.Kind == MsgFwdS)
 	})
 	r.dir.EnableWatchdog(50, 200)
 	ownLine(t, r, r.c0, 1, 7)
-	r.c1.AcquireExclusive(1, false, func(mem.Value) {}, nil)
+	acquireExclusive(r.c1, 1, false, func(mem.Value) {}, nil)
 	err := r.engine.Run(nil)
 	if !errors.Is(err, ErrWatchdog) {
 		t.Fatalf("err = %v, want ErrWatchdog", err)
@@ -255,9 +255,9 @@ func TestLenientToleratesFabricArtifacts(t *testing.T) {
 	r := newRig(t, map[mem.Addr]mem.Value{1: 0})
 	r.c0.SetLenient(true)
 	r.dir.SetLenient(true)
-	r.c0.Deliver(2, Msg{Kind: MsgData, Addr: 1, Value: 3})   // stale Data
-	r.dir.Deliver(0, Msg{Kind: MsgInvAck, Addr: 5})          // stray ack
-	r.dir.Deliver(0, Msg{Kind: MsgTransfer, Addr: 5})        // stray transfer
+	r.c0.Deliver(2, &Msg{Kind: MsgData, Addr: 1, Value: 3}) // stale Data
+	r.dir.Deliver(0, &Msg{Kind: MsgInvAck, Addr: 5})        // stray ack
+	r.dir.Deliver(0, &Msg{Kind: MsgTransfer, Addr: 5})      // stray transfer
 	if err := r.engine.Failed(); err != nil {
 		t.Fatalf("lenient mode failed the run: %v", err)
 	}
@@ -272,7 +272,7 @@ func TestLenientToleratesFabricArtifacts(t *testing.T) {
 	}
 	// The protocol still works afterwards.
 	var got mem.Value = -1
-	r.c1.AcquireShared(1, false, func(v mem.Value) { got = v })
+	acquireShared(r.c1, 1, false, func(v mem.Value) { got = v })
 	r.run(t)
 	if got != 0 {
 		t.Fatalf("read after tolerated artifacts = %d, want 0", got)

@@ -80,6 +80,12 @@ func (k MsgKind) String() string {
 }
 
 // Msg is a protocol message. Which fields are meaningful depends on Kind.
+//
+// On the fabric a message travels as a *Msg record drawn from its machine's
+// MsgPool, so a send does not box a value into an interface. The receiving
+// endpoint copies the message out and returns the record in Deliver;
+// protocol state (queued requests, parked forwards, retransmission copies,
+// error reports) only ever holds Msg values.
 type Msg struct {
 	Kind  MsgKind
 	Addr  mem.Addr
@@ -106,4 +112,40 @@ type Msg struct {
 	// acknowledgements and forwards self-describing: anything tagged with a
 	// closed epoch is a fabric artifact, not a protocol event.
 	Epoch uint64
+}
+
+// MsgPool recycles the message records of one machine: every cache and
+// directory shard composed into the machine sends from, and returns
+// delivered records to, the same pool. A record is owned by exactly one
+// in-flight delivery from Send until the receiver's Deliver takes it, so
+// anything that needs a second delivery of the same message (the fault
+// injector's duplicates) sends a copy. The pool is not safe for concurrent
+// use; machines run concurrently each own one. The zero value is ready.
+type MsgPool struct {
+	free []*Msg
+}
+
+// send stamps m into a record and hands it to the fabric.
+func (p *MsgPool) send(f interconnect.Fabric, src, dst interconnect.NodeID, m Msg) {
+	var r *Msg
+	if n := len(p.free); n > 0 {
+		r = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		r = new(Msg)
+	}
+	*r = m
+	f.Send(src, dst, r)
+}
+
+// take copies a delivered message out of its record and recycles the
+// record. ok is false for anything that is not a protocol message.
+func (p *MsgPool) take(m interconnect.Message) (Msg, bool) {
+	r, ok := m.(*Msg)
+	if !ok || r == nil {
+		return Msg{}, false
+	}
+	msg := *r
+	p.free = append(p.free, r)
+	return msg, true
 }

@@ -23,7 +23,7 @@ func TestSchedulePastSurfacesThroughCacheCallbacks(t *testing.T) {
 		r := newRig(t, map[mem.Addr]mem.Value{7: 1})
 		// Open a transaction so address 7 is Busy, then register an OnFree
 		// continuation that (buggily) schedules into the past when it fires.
-		r.c0.AcquireShared(7, false, func(v mem.Value) {})
+		acquireShared(r.c0, 7, false, func(v mem.Value) {})
 		if !r.c0.Busy(7) {
 			t.Fatal("address 7 should have an open MSHR")
 		}
@@ -37,7 +37,7 @@ func TestSchedulePastSurfacesThroughCacheCallbacks(t *testing.T) {
 	})
 	t.Run("OnCounterZero", func(t *testing.T) {
 		r := newRig(t, map[mem.Addr]mem.Value{7: 1})
-		r.c0.AcquireShared(7, false, func(v mem.Value) {})
+		acquireShared(r.c0, 7, false, func(v mem.Value) {})
 		if r.c0.Counter() == 0 {
 			t.Fatal("counter should be nonzero with a transaction outstanding")
 		}
@@ -52,24 +52,23 @@ func TestSchedulePastSurfacesThroughCacheCallbacks(t *testing.T) {
 }
 
 // TestRetryPathNeverSchedulesPast exercises the MSHR retransmission caller:
-// a deep retry schedule against a directory that drops every request, on
-// both engines. The run must end in the retry machinery's own typed error —
-// with ErrSchedulePast never recorded along the way. If the backoff clamp
-// regressed (the historical overflow made `timeout << attempts` negative),
-// this run would fail with ErrSchedulePast instead, and the assertion names
-// the guilty caller.
+// a deep retry schedule against a directory that drops every request. The
+// "calendar" schedule starts with timers inside the engine's 1024-cycle
+// wheel horizon; the "heap" schedule's timeout is past the horizon, so every
+// timer waits in the engine's overflow heap. The run must end in the retry
+// machinery's own typed error — with ErrSchedulePast never recorded along
+// the way. If the backoff clamp regressed (the historical overflow made
+// `timeout << attempts` negative), this run would fail with ErrSchedulePast
+// instead, and the assertion names the guilty caller.
 func TestRetryPathNeverSchedulesPast(t *testing.T) {
-	for name, mk := range map[string]func() *sim.Engine{
-		"calendar": func() *sim.Engine { return sim.NewEngine(0, 0) },
-		"heap":     func() *sim.Engine { return sim.NewHeapEngine(0, 0) },
-	} {
+	for name, timeout := range map[string]sim.Time{"calendar": 128, "heap": 2048} {
 		t.Run(name, func(t *testing.T) {
-			engine := mk()
+			engine := sim.NewEngine(0, 0)
 			net := interconnect.NewNetwork(engine, 1, 0, nil, true)
 			net.Attach(1, blackhole{})
-			c := New(0, engine, net, 1, 1)
-			c.SetRetry(128, 80) // deep enough to cross the old overflow threshold
-			c.AcquireShared(2, false, func(v mem.Value) {})
+			c := New(0, engine, net, new(MsgPool), 1, 1)
+			c.SetRetry(timeout, 80) // deep enough to cross the old overflow threshold
+			acquireShared(c, 2, false, func(v mem.Value) {})
 			err := engine.Run(nil)
 			if errors.Is(err, sim.ErrSchedulePast) {
 				t.Fatalf("MSHR retransmission scheduled into the past: %v", err)

@@ -59,8 +59,8 @@ type ShardedDirectory struct {
 }
 
 // NewShardedDirectory builds n shards at fabric nodes base..base+n-1,
-// splitting init by ShardOf.
-func NewShardedDirectory(base interconnect.NodeID, n int, engine *sim.Engine, fabric interconnect.Fabric, memLat sim.Time, init map[mem.Addr]mem.Value) *ShardedDirectory {
+// splitting init by ShardOf. Every shard uses the machine's message pool.
+func NewShardedDirectory(base interconnect.NodeID, n int, engine *sim.Engine, fabric interconnect.Fabric, msgs *MsgPool, memLat sim.Time, init map[mem.Addr]mem.Value) *ShardedDirectory {
 	if n < 1 {
 		n = 1
 	}
@@ -72,7 +72,7 @@ func NewShardedDirectory(base interconnect.NodeID, n int, engine *sim.Engine, fa
 				sub[a] = v
 			}
 		}
-		s.shards[i] = NewDirectory(base+interconnect.NodeID(i), engine, fabric, memLat, sub)
+		s.shards[i] = NewDirectory(base+interconnect.NodeID(i), engine, fabric, msgs, memLat, sub)
 	}
 	return s
 }

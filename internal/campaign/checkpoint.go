@@ -23,9 +23,9 @@ const CheckpointFile = "checkpoint.json"
 // Because per-seed verdicts are pure functions of the Spec, resuming from
 // any checkpoint reproduces the same final report byte for byte.
 type Checkpoint struct {
-	Version int   `json:"version"`
-	Spec    Spec  `json:"spec"`
-	Next    int   `json:"next"`
+	Version int     `json:"version"`
+	Spec    Spec    `json:"spec"`
+	Next    int     `json:"next"`
 	Report  *Report `json:"report"`
 	// Summary carries the runtime counters across the interruption so the
 	// final CLI summary accounts for the whole campaign, not just the last

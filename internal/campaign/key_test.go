@@ -67,12 +67,12 @@ func TestKeySensitivityMatrix(t *testing.T) {
 	chaosBase.FaultRates = faults.DefaultRates()
 	ck := Key(p, chaosBase)
 	chaosPerturb := map[string]func(*Options){
-		"fault seed":    func(o *Options) { o.FaultSeed = 8 },
-		"drop rate":     func(o *Options) { o.FaultRates.Drop += 0.01 },
-		"dup rate":      func(o *Options) { o.FaultRates.Dup += 0.01 },
-		"delay rate":    func(o *Options) { o.FaultRates.Delay += 0.01 },
-		"reorder rate":  func(o *Options) { o.FaultRates.Reorder += 0.01 },
-		"max delay":     func(o *Options) { o.FaultRates.MaxDelay++ },
+		"fault seed":   func(o *Options) { o.FaultSeed = 8 },
+		"drop rate":    func(o *Options) { o.FaultRates.Drop += 0.01 },
+		"dup rate":     func(o *Options) { o.FaultRates.Dup += 0.01 },
+		"delay rate":   func(o *Options) { o.FaultRates.Delay += 0.01 },
+		"reorder rate": func(o *Options) { o.FaultRates.Reorder += 0.01 },
+		"max delay":    func(o *Options) { o.FaultRates.MaxDelay++ },
 	}
 	for what, mutate := range chaosPerturb {
 		o := chaosBase

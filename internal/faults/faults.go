@@ -248,15 +248,26 @@ func (f *Injector) CountsString() string {
 // isRequest reports whether the message is request-class (the only droppable
 // class; see the package comment).
 func isRequest(m interconnect.Message) (cache.Msg, bool) {
-	msg, ok := m.(cache.Msg)
-	if !ok {
+	r, ok := m.(*cache.Msg)
+	if !ok || r == nil {
 		return cache.Msg{}, false
 	}
-	switch msg.Kind {
+	switch r.Kind {
 	case cache.MsgGetS, cache.MsgGetX, cache.MsgUpdateReq:
-		return msg, true
+		return *r, true
 	}
-	return msg, false
+	return *r, false
+}
+
+// duplicate returns an independent copy of m for a second delivery: a
+// protocol message record belongs to the one delivery that consumes it (see
+// cache.MsgPool), so the duplicate must not share it.
+func duplicate(m interconnect.Message) interconnect.Message {
+	if r, ok := m.(*cache.Msg); ok && r != nil {
+		d := *r
+		return &d
+	}
+	return m
 }
 
 func (f *Injector) record(kind FaultKind, src, dst interconnect.NodeID, msg cache.Msg, extra sim.Time) {
@@ -285,7 +296,8 @@ func (f *Injector) Send(src, dst interconnect.NodeID, m interconnect.Message) {
 		// link order, exercising stale-duplicate suppression downstream.
 		extra := 1 + sim.Time(f.rng.Int63n(int64(f.rates.MaxDelay)))
 		f.record(FaultDup, src, dst, msg, extra)
-		f.engine.After(extra, func() { f.inner.Send(src, dst, m) })
+		dup := duplicate(m)
+		f.engine.After(extra, func() { f.inner.Send(src, dst, dup) })
 	}
 
 	// One delay decision per message: order-preserving (Delay) first, then

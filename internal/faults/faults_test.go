@@ -27,8 +27,8 @@ func (s *sink) Deliver(src interconnect.NodeID, msg interconnect.Message) {
 	s.got = append(s.got, arrival{src, msg, s.engine.Now()})
 }
 
-func req(i int) cache.Msg  { return cache.Msg{Kind: cache.MsgGetS, Addr: 1, Seq: uint64(i)} }
-func resp(i int) cache.Msg { return cache.Msg{Kind: cache.MsgData, Addr: 1, Seq: uint64(i)} }
+func req(i int) *cache.Msg  { return &cache.Msg{Kind: cache.MsgGetS, Addr: 1, Seq: uint64(i)} }
+func resp(i int) *cache.Msg { return &cache.Msg{Kind: cache.MsgData, Addr: 1, Seq: uint64(i)} }
 
 // TestZeroRatePassThrough pins the Injector's pass-through contract: with all
 // rates zero, a run over the wrapped fabric is byte-identical to one over the
@@ -95,7 +95,7 @@ func TestDelayFaultsPreserveLinkOrder(t *testing.T) {
 		for _, s := range []*sink{s1, s2} {
 			last := -1
 			for _, a := range s.got {
-				i := int(a.msg.(cache.Msg).Seq)
+				i := int(a.msg.(*cache.Msg).Seq)
 				if i < last {
 					t.Fatalf("seed %d: delay fault reordered a link: delivery order %v", seed, s.got)
 				}
@@ -130,7 +130,7 @@ func TestReorderFaultsCanOvertake(t *testing.T) {
 		}
 		last := -1
 		for _, a := range s.got {
-			i := int(a.msg.(cache.Msg).Seq)
+			i := int(a.msg.(*cache.Msg).Seq)
 			if i < last {
 				overtaken = true
 			}
@@ -143,7 +143,9 @@ func TestReorderFaultsCanOvertake(t *testing.T) {
 }
 
 // TestDupDeliversLateSecondCopy pins duplication: with dup forced, every
-// message arrives exactly twice and the second copy is late.
+// message arrives exactly twice, the second copy is late, and it travels in
+// its own record (a delivered record is recycled by its receiver, so a
+// shared one could arrive rewritten).
 func TestDupDeliversLateSecondCopy(t *testing.T) {
 	e := sim.NewEngine(0, 0)
 	net := interconnect.NewNetwork(e, 2, 0, nil, true)
@@ -159,6 +161,10 @@ func TestDupDeliversLateSecondCopy(t *testing.T) {
 	}
 	if s.got[1].at <= s.got[0].at {
 		t.Errorf("duplicate not late: %v", s.got)
+	}
+	orig, dup := s.got[0].msg.(*cache.Msg), s.got[1].msg.(*cache.Msg)
+	if orig == dup || *orig != *dup {
+		t.Errorf("duplicate shares the original's record or differs from it: %p %+v, %p %+v", orig, *orig, dup, *dup)
 	}
 	if inj.Counts()["dup"] != 1 {
 		t.Errorf("counts = %v", inj.Counts())
@@ -179,7 +185,7 @@ func TestDropHitsOnlyRequests(t *testing.T) {
 	if err := e.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.got) != 1 || s.got[0].msg.(cache.Msg).Kind != cache.MsgData {
+	if len(s.got) != 1 || s.got[0].msg.(*cache.Msg).Kind != cache.MsgData {
 		t.Fatalf("deliveries = %v, want exactly the Data message", s.got)
 	}
 	if inj.Counts()["drop"] != 1 {

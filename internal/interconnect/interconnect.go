@@ -45,6 +45,26 @@ type sinkEP struct {
 
 func (s *sinkEP) DeliverEvent(src int, msg any) { s.ep.Deliver(NodeID(src), msg) }
 
+// endpoints is a fabric's attachment table, indexed by NodeID. Node IDs are
+// dense (the machine numbers caches 0..N-1 and directory shards from N) and
+// every endpoint is attached before the first send, so a send resolves its
+// destination with one bounds-checked index, not a map lookup.
+type endpoints []*sinkEP
+
+func (t *endpoints) attach(id NodeID, e Endpoint) {
+	for int(id) >= len(*t) {
+		*t = append(*t, nil)
+	}
+	(*t)[id] = &sinkEP{ep: e}
+}
+
+func (t endpoints) sink(dst NodeID) *sinkEP {
+	if dst < 0 || int(dst) >= len(t) || t[dst] == nil {
+		panic(fmt.Sprintf("interconnect: send to unattached node %d", dst))
+	}
+	return t[dst]
+}
+
 // Network is a general interconnection network: each message takes
 // Latency ± jitter cycles, independently, so two messages on different
 // source/destination pairs (and even on the same pair, if jitter differs) may
@@ -52,8 +72,7 @@ func (s *sinkEP) DeliverEvent(src int, msg any) { s.ep.Deliver(NodeID(src), msg)
 // configurations 2 and 4.
 type Network struct {
 	engine  *sim.Engine
-	eps     map[NodeID]Endpoint
-	sinks   map[NodeID]*sinkEP
+	sinks   endpoints
 	topo    *Topology
 	latency sim.Time
 	jitter  int
@@ -62,7 +81,9 @@ type Network struct {
 	// keepFIFO, when set, preserves per-(src,dst) send order even with
 	// jitter (virtual-channel FIFOs); an ablation knob.
 	keepFIFO bool
-	lastArr  map[[2]NodeID]sim.Time
+	// lastArr[dst][src] is the latest arrival time scheduled on the link
+	// (zero before its first message). Rows grow to the largest source seen.
+	lastArr [][]sim.Time
 }
 
 // NewNetwork builds a network fabric. latency is the base hop cost; jitter,
@@ -75,13 +96,10 @@ func NewNetwork(engine *sim.Engine, latency sim.Time, jitter int, rng *rand.Rand
 	}
 	return &Network{
 		engine:   engine,
-		eps:      make(map[NodeID]Endpoint),
-		sinks:    make(map[NodeID]*sinkEP),
 		latency:  latency,
 		jitter:   jitter,
 		rng:      rng,
 		keepFIFO: fifo,
-		lastArr:  make(map[[2]NodeID]sim.Time),
 	}
 }
 
@@ -93,16 +111,15 @@ func (n *Network) SetTopology(topo *Topology) { n.topo = topo }
 
 // Attach implements Fabric.
 func (n *Network) Attach(id NodeID, e Endpoint) {
-	n.eps[id] = e
-	n.sinks[id] = &sinkEP{ep: e}
+	n.sinks.attach(id, e)
+	for len(n.lastArr) < len(n.sinks) {
+		n.lastArr = append(n.lastArr, nil)
+	}
 }
 
 // Send implements Fabric.
 func (n *Network) Send(src, dst NodeID, msg Message) {
-	sink, ok := n.sinks[dst]
-	if !ok {
-		panic(fmt.Sprintf("interconnect: send to unattached node %d", dst))
-	}
+	sink := n.sinks.sink(dst)
 	n.sent++
 	d := n.latency
 	if n.topo != nil {
@@ -115,11 +132,15 @@ func (n *Network) Send(src, dst NodeID, msg Message) {
 	}
 	at := n.engine.Now() + d
 	if n.keepFIFO {
-		key := [2]NodeID{src, dst}
-		if last := n.lastArr[key]; at <= last {
+		row := n.lastArr[dst]
+		if int(src) >= len(row) {
+			row = append(row, make([]sim.Time, int(src)+1-len(row))...)
+			n.lastArr[dst] = row
+		}
+		if last := row[src]; at <= last {
 			at = last + 1
 		}
-		n.lastArr[key] = at
+		row[src] = at
 	}
 	n.engine.DeliverAt(at, sink, int(src), msg)
 }
@@ -132,8 +153,7 @@ func (n *Network) Messages() uint64 { return n.sent }
 // fully serialized fabric of Figure 1's configurations 1 and 3.
 type Bus struct {
 	engine *sim.Engine
-	eps    map[NodeID]Endpoint
-	sinks  map[NodeID]*sinkEP
+	sinks  endpoints
 	cycle  sim.Time
 	free   sim.Time // earliest time the bus is available
 	sent   uint64
@@ -144,21 +164,15 @@ func NewBus(engine *sim.Engine, cycle sim.Time) *Bus {
 	if cycle < 1 {
 		cycle = 1
 	}
-	return &Bus{engine: engine, eps: make(map[NodeID]Endpoint), sinks: make(map[NodeID]*sinkEP), cycle: cycle}
+	return &Bus{engine: engine, cycle: cycle}
 }
 
 // Attach implements Fabric.
-func (b *Bus) Attach(id NodeID, e Endpoint) {
-	b.eps[id] = e
-	b.sinks[id] = &sinkEP{ep: e}
-}
+func (b *Bus) Attach(id NodeID, e Endpoint) { b.sinks.attach(id, e) }
 
 // Send implements Fabric.
 func (b *Bus) Send(src, dst NodeID, msg Message) {
-	sink, ok := b.sinks[dst]
-	if !ok {
-		panic(fmt.Sprintf("interconnect: send to unattached node %d", dst))
-	}
+	sink := b.sinks.sink(dst)
 	b.sent++
 	start := b.engine.Now()
 	if b.free > start {

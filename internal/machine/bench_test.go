@@ -10,7 +10,7 @@ import (
 )
 
 // benchCase is one point on the scaling grid: processor count, directory
-// shard count, topology, and event-scheduler mode. The workload is the E13
+// shard count, and topology. The workload is the E13
 // capacity kernel — every processor contends for one lock and does a little
 // local work — so throughput is dominated by the machine core (scheduler,
 // protocol, interconnect), not by workload construction.
@@ -18,31 +18,23 @@ type benchCase struct {
 	procs    int
 	shards   int
 	topology interconnect.TopologyKind
-	heap     bool
 }
 
 func (c benchCase) name() string {
-	eng := "calendar"
-	if c.heap {
-		eng = "heap"
-	}
-	return fmt.Sprintf("p%d/shards%d/%s/%s", c.procs, c.shards, c.topology, eng)
+	return fmt.Sprintf("p%d/shards%d/%s", c.procs, c.shards, c.topology)
 }
 
 // BenchmarkMachineRun sweeps the big-P configuration surface and reports
 // simulated cycles per wall-clock second (simcycles/sec), the figure of
-// merit BENCH_machine.json tracks. The heap rows are the legacy baseline
-// engine; the calendar rows are the default.
+// merit BENCH_machine.json tracks.
 func BenchmarkMachineRun(b *testing.B) {
 	cases := []benchCase{
 		{procs: 8, shards: 1, topology: interconnect.TopoFlat},
 		{procs: 16, shards: 1, topology: interconnect.TopoFlat},
-		{procs: 64, shards: 1, topology: interconnect.TopoFlat, heap: true},
 		{procs: 64, shards: 1, topology: interconnect.TopoFlat},
 		{procs: 64, shards: 4, topology: interconnect.TopoFlat},
 		{procs: 64, shards: 4, topology: interconnect.TopoDanceHall},
 		{procs: 64, shards: 8, topology: interconnect.TopoClusters},
-		{procs: 64, shards: 8, topology: interconnect.TopoClusters, heap: true},
 	}
 	for _, c := range cases {
 		b.Run(c.name(), func(b *testing.B) {
@@ -50,7 +42,6 @@ func BenchmarkMachineRun(b *testing.B) {
 			cfg := NewConfig(proc.PolicyWODef2)
 			cfg.DirShards = c.shards
 			cfg.Topology = c.topology
-			cfg.HeapEngine = c.heap
 			var cycles int64
 			b.ReportAllocs()
 			b.ResetTimer()

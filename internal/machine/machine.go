@@ -137,10 +137,6 @@ type Config struct {
 	// ClusterSize is processors per cluster for the clusters topology
 	// (default 8).
 	ClusterSize int
-	// HeapEngine runs the simulation on the legacy binary-heap scheduler
-	// instead of the calendar queue. Event order is identical; this exists
-	// as the throughput-comparison baseline.
-	HeapEngine bool
 	// Workload attaches an open-loop fragment source to every processor
 	// (internal/workload/openloop builds them from a spec or a recorded
 	// trace). The program passed to New is then a skeleton: it sizes the
@@ -305,9 +301,6 @@ type Machine struct {
 func New(p *program.Program, cfg Config) *Machine {
 	cfg.defaults()
 	engine := sim.NewEngine(cfg.MaxTime, cfg.MaxEvents)
-	if cfg.HeapEngine {
-		engine = sim.NewHeapEngine(cfg.MaxTime, cfg.MaxEvents)
-	}
 	n := p.NumThreads()
 	var fabric interconnect.Fabric
 	switch cfg.Fabric {
@@ -353,11 +346,14 @@ func New(p *program.Program, cfg Config) *Machine {
 	for a, v := range p.Init {
 		init[a] = v
 	}
+	// One message pool per machine: its caches and directory shards run on
+	// one goroutine, and machines run concurrently never share records.
+	msgs := new(cache.MsgPool)
 	var dir cache.Directory
 	if cfg.DirShards > 1 {
-		dir = cache.NewShardedDirectory(dirID, cfg.DirShards, engine, fabric, cfg.MemLatency, init)
+		dir = cache.NewShardedDirectory(dirID, cfg.DirShards, engine, fabric, msgs, cfg.MemLatency, init)
 	} else {
-		dir = cache.NewDirectory(dirID, engine, fabric, cfg.MemLatency, init)
+		dir = cache.NewDirectory(dirID, engine, fabric, msgs, cfg.MemLatency, init)
 	}
 	dir.SetMetrics(rec)
 	if cfg.Faults {
@@ -378,7 +374,7 @@ func New(p *program.Program, cfg Config) *Machine {
 		m.times = &timingSink{}
 	}
 	for i := 0; i < n; i++ {
-		c := cache.New(interconnect.NodeID(i), engine, fabric, dirID, cfg.HitLatency)
+		c := cache.New(interconnect.NodeID(i), engine, fabric, msgs, dirID, cfg.HitLatency)
 		c.SetDirShards(cfg.DirShards)
 		c.SetMetrics(rec)
 		if cfg.Faults {
@@ -525,8 +521,8 @@ func (m *Machine) finalRegs() []([program.NumRegs]mem.Value) {
 // classifyMsg names protocol messages for the metrics fabric tap (injected
 // here so internal/metrics never needs to import internal/cache).
 func classifyMsg(m interconnect.Message) metrics.MsgInfo {
-	msg, ok := m.(cache.Msg)
-	if !ok {
+	msg, ok := m.(*cache.Msg)
+	if !ok || msg == nil {
 		return metrics.MsgInfo{}
 	}
 	return metrics.MsgInfo{Class: msg.Kind.String(), Addr: msg.Addr, OK: true}

@@ -40,7 +40,8 @@ func TestShardOfPartition(t *testing.T) {
 }
 
 // runFingerprint renders everything observable about a run that the shard
-// count and the engine choice must not change: completion time, traffic,
+// count and the machine's internal representation must not change:
+// completion time, traffic,
 // final memory, the recorded trace, the attribution tables, and the exported
 // timeline, all as one byte string.
 func runFingerprint(t *testing.T, r *Result) []byte {
@@ -204,30 +205,6 @@ func TestTopologyLatencyOrdering(t *testing.T) {
 	}
 	if far.Cycles < near.Cycles {
 		t.Errorf("clusters remote=60 finished in %d < remote=10 %d", far.Cycles, near.Cycles)
-	}
-}
-
-// TestHeapCalendarEquivalence: the calendar-queue engine and the legacy heap
-// engine dispatch the identical event stream — whole-run fingerprints
-// (trace, attribution tables, timeline) are byte-identical.
-func TestHeapCalendarEquivalence(t *testing.T) {
-	run := func(heap bool) *Result {
-		p := workload.Lock(4, 2, 4, 6, workload.SpinSync)
-		cfg := NewConfig(proc.PolicyWODef2)
-		cfg.HeapEngine = heap
-		cfg.NetJitter = 5
-		cfg.Seed = 11
-		cfg.RecordTrace = true
-		cfg.Metrics = true
-		r, err := Run(p, cfg)
-		if err != nil {
-			t.Fatalf("heap=%v: %v", heap, err)
-		}
-		return r
-	}
-	cal, heap := runFingerprint(t, run(false)), runFingerprint(t, run(true))
-	if !bytes.Equal(cal, heap) {
-		t.Errorf("engines diverge:\ncalendar:\n%s\nheap:\n%s", cal, heap)
 	}
 }
 

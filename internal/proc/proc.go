@@ -130,6 +130,12 @@ type Processor struct {
 	// closure per call, which on cache-hit spin loops was one of the largest
 	// steady-state allocation sources.
 	stepFn func()
+	// freedFn and counterZeroFn are the cache wake-ups, bound the same way.
+	// The thread waits on at most one of them at a time, so the wait's
+	// start and request live in the processor instead of a closure.
+	freedFn, counterZeroFn func()
+	waitT0                 sim.Time
+	waitReq                program.Request
 }
 
 // New builds a processor for one thread. tracer may be nil.
@@ -144,6 +150,8 @@ func New(id int, engine *sim.Engine, c *cache.Cache, code program.Code, policy P
 		Stats:  stats.NewCounters(),
 	}
 	p.stepFn = p.step
+	p.freedFn = p.mshrFreed
+	p.counterZeroFn = p.counterZero
 	return p
 }
 
@@ -219,7 +227,10 @@ func (p *Processor) step() {
 	for {
 		req, ok, err := p.thread.Pending()
 		if err != nil {
-			panic(fmt.Sprintf("P%d: %v", p.ID, err))
+			// A program fault such as a runaway local loop: the run fails
+			// with the interpreter's error, like a workload-source error.
+			p.engine.Fail(fmt.Errorf("proc: P%d thread: %w", p.ID, err))
+			return
 		}
 		// Charge explicit local work (nop delays) accumulated on the way to
 		// this stall point before issuing the operation or halting.
@@ -248,12 +259,8 @@ func (p *Processor) step() {
 		// Same-address transaction in flight: preserve intra-processor
 		// dependences (condition 1) by waiting for the MSHR.
 		if p.cache.Busy(req.Addr) {
-			t0 := p.engine.Now()
-			p.cache.OnFree(req.Addr, func() {
-				p.hMshr.Add(p.Stats, "mshr_stall_cycles", int64(p.engine.Now()-t0))
-				p.rec.MemWait(p.ID, req.Addr, false, t0, p.engine.Now())
-				p.step()
-			})
+			p.waitT0, p.waitReq = p.engine.Now(), req
+			p.cache.OnFree(req.Addr, p.freedFn)
 			return
 		}
 		if req.Op.IsSync() {
@@ -269,6 +276,14 @@ func (p *Processor) step() {
 	}
 }
 
+// mshrFreed resumes a thread that waited for its own transaction on the same
+// address to retire.
+func (p *Processor) mshrFreed() {
+	p.hMshr.Add(p.Stats, "mshr_stall_cycles", int64(p.engine.Now()-p.waitT0))
+	p.rec.MemWait(p.ID, p.waitReq.Addr, false, p.waitT0, p.engine.Now())
+	p.step()
+}
+
 // resume charges one hit latency (the pipeline cost of completing an access)
 // and continues the thread. Cache callbacks are synchronous, so scheduling
 // here is also what advances simulated time on cache-hit spin loops.
@@ -282,7 +297,7 @@ func (p *Processor) dataRead(req program.Request) {
 	opIdx := p.opIndex()
 	p.hReads.Add(p.Stats, "reads", 1)
 	if v, ok := p.cache.TryReadHit(req.Addr); ok {
-		// Hit: AcquireShared would run done synchronously at t0 anyway.
+		// Hit: AcquireSharedCtx would run LineCommitted synchronously at t0.
 		// Completing inline replicates that callback's exact stat, metric,
 		// timing, and resolve sequence without allocating the continuation —
 		// this is the hottest issue path (spin loops polling a cached flag).
@@ -341,22 +356,13 @@ func (p *Processor) dataWrite(req program.Request) {
 // copy commits immediately; global performance is the directory's
 // acknowledgement after all sharers applied the update.
 func (p *Processor) updateWrite(req program.Request, t0 sim.Time, opIdx int) {
-	commitT := p.engine.Now()
+	ctx := cache.IssueCtx{Kind: issueUpdateWO, Addr: req.Addr, Data: req.Data, OpIdx: opIdx, T0: t0, CommitT: p.engine.Now()}
 	if p.Policy == PolicySC {
-		p.cache.WriteUpdate(req.Addr, req.Data, func() {
-			now := p.engine.Now()
-			p.hWriteStall.Add(p.Stats, "write_stall_cycles", int64(now-t0))
-			p.rec.FenceStall(p.ID, commitT, now)
-			p.emitTiming(mem.OpWrite, req.Addr, opIdx, t0, commitT, now)
-			p.record(mem.OpWrite, req.Addr, 0, req.Data)
-			p.thread.Resolve(0)
-			p.resume()
-		})
+		ctx.Kind = issueUpdateSC
+		p.cache.WriteUpdate(req.Addr, req.Data, p, ctx)
 		return
 	}
-	p.cache.WriteUpdate(req.Addr, req.Data, func() {
-		p.emitTiming(mem.OpWrite, req.Addr, opIdx, t0, commitT, p.engine.Now())
-	})
+	p.cache.WriteUpdate(req.Addr, req.Data, p, ctx)
 	p.record(mem.OpWrite, req.Addr, 0, req.Data)
 	p.thread.Resolve(0)
 	p.resume()
@@ -370,14 +376,8 @@ func (p *Processor) syncOp(req program.Request) {
 	case PolicyWODef1:
 		// Condition 2 of Definition 1: wait for all previous accesses to be
 		// globally performed before issuing the synchronization operation.
-		t0 := p.engine.Now()
-		p.cache.OnCounterZero(func() {
-			p.hSyncCounter.Add(p.Stats, "sync_counter_stall_cycles", int64(p.engine.Now()-t0))
-			p.rec.CounterStall(p.ID, t0, p.engine.Now())
-			// Condition 3: nothing issues past the sync until it is
-			// globally performed, so stall through performance.
-			p.syncExclusive(req, true)
-		})
+		p.waitT0, p.waitReq = p.engine.Now(), req
+		p.cache.OnCounterZero(p.counterZeroFn)
 	case PolicyWODef2, PolicyWODef2NoReserve:
 		p.syncExclusive(req, false)
 	case PolicyWODef2DRF1:
@@ -385,16 +385,8 @@ func (p *Processor) syncOp(req program.Request) {
 			// Section 6: read-only synchronization is not serialized — it
 			// issues as a shared-copy read (still flagged sync, so a
 			// reserving owner stalls it).
-			t0 := p.engine.Now()
-			opIdx := p.opIndex()
-			p.cache.AcquireShared(req.Addr, true, func(v mem.Value) {
-				now := p.engine.Now()
-				p.hSyncLine.Add(p.Stats, "sync_line_stall_cycles", int64(now-t0))
-				p.rec.MemWait(p.ID, req.Addr, true, t0, now)
-				p.emitTiming(req.Op, req.Addr, opIdx, t0, now, now)
-				p.record(req.Op, req.Addr, v, 0)
-				p.thread.Resolve(v)
-				p.resume()
+			p.cache.AcquireSharedCtx(req.Addr, true, p, cache.IssueCtx{
+				Kind: issueSyncRead, Op: req.Op, Addr: req.Addr, OpIdx: p.opIndex(), T0: p.engine.Now(),
 			})
 			return
 		}
@@ -402,6 +394,16 @@ func (p *Processor) syncOp(req program.Request) {
 	default:
 		panic("proc: unknown policy")
 	}
+}
+
+// counterZero issues a Definition-1 synchronization operation once every
+// previous access is globally performed.
+func (p *Processor) counterZero() {
+	p.hSyncCounter.Add(p.Stats, "sync_counter_stall_cycles", int64(p.engine.Now()-p.waitT0))
+	p.rec.CounterStall(p.ID, p.waitT0, p.engine.Now())
+	// Condition 3: nothing issues past the sync until it is globally
+	// performed, so stall through performance.
+	p.syncExclusive(p.waitReq, true)
 }
 
 // syncExclusive performs a synchronization operation on an exclusively held
@@ -431,6 +433,9 @@ const (
 	issueDataWriteWO
 	issueDataWriteSC
 	issueSync
+	issueSyncRead
+	issueUpdateWO
+	issueUpdateSC
 )
 
 // LineCommitted implements cache.IssueSink: the commit point of a miss
@@ -444,6 +449,13 @@ func (p *Processor) LineCommitted(ctx *cache.IssueCtx, v mem.Value) {
 		p.rec.MemWait(p.ID, ctx.Addr, false, ctx.T0, now)
 		p.emitTiming(mem.OpRead, ctx.Addr, ctx.OpIdx, ctx.T0, now, now)
 		p.record(mem.OpRead, ctx.Addr, v, 0)
+		p.thread.Resolve(v)
+		p.resume()
+	case issueSyncRead:
+		p.hSyncLine.Add(p.Stats, "sync_line_stall_cycles", int64(now-ctx.T0))
+		p.rec.MemWait(p.ID, ctx.Addr, true, ctx.T0, now)
+		p.emitTiming(ctx.Op, ctx.Addr, ctx.OpIdx, ctx.T0, now, now)
+		p.record(ctx.Op, ctx.Addr, v, 0)
 		p.thread.Resolve(v)
 		p.resume()
 	case issueDataWriteWO, issueDataWriteSC:
@@ -486,6 +498,15 @@ func (p *Processor) LinePerformed(ctx *cache.IssueCtx) {
 	case issueDataWriteSC:
 		p.hWriteStall.Add(p.Stats, "write_stall_cycles", int64(now-ctx.T0))
 		p.rec.MemWait(p.ID, ctx.Addr, false, ctx.T0, ctx.CommitT)
+		p.rec.FenceStall(p.ID, ctx.CommitT, now)
+		p.emitTiming(mem.OpWrite, ctx.Addr, ctx.OpIdx, ctx.T0, ctx.CommitT, now)
+		p.record(mem.OpWrite, ctx.Addr, 0, ctx.Data)
+		p.thread.Resolve(0)
+		p.resume()
+	case issueUpdateWO:
+		p.emitTiming(mem.OpWrite, ctx.Addr, ctx.OpIdx, ctx.T0, ctx.CommitT, now)
+	case issueUpdateSC:
+		p.hWriteStall.Add(p.Stats, "write_stall_cycles", int64(now-ctx.T0))
 		p.rec.FenceStall(p.ID, ctx.CommitT, now)
 		p.emitTiming(mem.OpWrite, ctx.Addr, ctx.OpIdx, ctx.T0, ctx.CommitT, now)
 		p.record(mem.OpWrite, ctx.Addr, 0, ctx.Data)

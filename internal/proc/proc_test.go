@@ -33,10 +33,11 @@ func newRig(t *testing.T, codes []program.Code, pol Policy, init map[mem.Addr]me
 	e := sim.NewEngine(10_000_000, 10_000_000)
 	net := interconnect.NewNetwork(e, 5, 0, nil, true)
 	dirID := interconnect.NodeID(len(codes))
-	cache.NewDirectory(dirID, e, net, 1, init)
+	msgs := new(cache.MsgPool)
+	cache.NewDirectory(dirID, e, net, msgs, 1, init)
 	r := &rig{engine: e}
 	for i, code := range codes {
-		c := cache.New(interconnect.NodeID(i), e, net, dirID, 1)
+		c := cache.New(interconnect.NodeID(i), e, net, msgs, dirID, 1)
 		r.caches = append(r.caches, c)
 		r.procs = append(r.procs, New(i, e, c, code, pol, tr))
 	}

@@ -139,8 +139,12 @@ type Instr struct {
 
 // MemOp returns the mem.Op performed by a memory instruction, and ok=false
 // for non-memory instructions.
-func (in Instr) MemOp() (mem.Op, bool) {
-	switch in.Op {
+func (in Instr) MemOp() (mem.Op, bool) { return in.Op.memOp() }
+
+// memOp is MemOp by opcode alone: the thread interpreter calls it on the
+// instruction in place, where calling the value method would copy the Instr.
+func (o Opcode) memOp() (mem.Op, bool) {
+	switch o {
 	case ILoad:
 		return mem.OpRead, true
 	case IStore:

@@ -30,8 +30,10 @@ type Thread struct {
 	// index the *next* memory operation will carry.
 	OpIndex int
 
+	// pendingValid marks Code[PC] as the exposed memory instruction: PC
+	// advances past a memory instruction only in Resolve, so the pending
+	// instruction is read in place rather than copied into the thread.
 	pendingValid bool
-	pendingInstr Instr
 	localWork    int // remaining INop delay cycles at the current PC
 }
 
@@ -57,10 +59,9 @@ func (t *Thread) Pending() (Request, bool, error) {
 			t.Halted = true
 			return Request{}, false, nil
 		}
-		in := t.Code[t.PC]
-		if _, isMem := in.MemOp(); isMem {
+		in := &t.Code[t.PC]
+		if _, isMem := in.Op.memOp(); isMem {
 			t.pendingValid = true
-			t.pendingInstr = in
 			return t.request(), true, nil
 		}
 		switch in.Op {
@@ -123,8 +124,8 @@ func (t *Thread) TakeLocalWork() int {
 
 // request builds the Request for the pending memory instruction.
 func (t *Thread) request() Request {
-	in := t.pendingInstr
-	op, _ := in.MemOp()
+	in := &t.Code[t.PC]
+	op, _ := in.Op.memOp()
 	r := Request{Op: op, Addr: t.effAddr(in), RMW: in.RMW}
 	if op.Writes() {
 		r.Data = t.operand(in.Src)
@@ -133,7 +134,7 @@ func (t *Thread) request() Request {
 }
 
 // effAddr computes the effective address of a memory instruction.
-func (t *Thread) effAddr(in Instr) mem.Addr {
+func (t *Thread) effAddr(in *Instr) mem.Addr {
 	a := in.Addr
 	if in.UseAddrReg {
 		a += mem.Addr(t.Regs[in.AddrReg])
@@ -149,8 +150,8 @@ func (t *Thread) Resolve(value mem.Value) {
 	if !t.pendingValid {
 		panic("program: Resolve with no pending memory request")
 	}
-	in := t.pendingInstr
-	op, _ := in.MemOp()
+	in := &t.Code[t.PC]
+	op, _ := in.Op.memOp()
 	if op.Reads() {
 		t.Regs[in.Rd] = value
 	}

@@ -10,18 +10,19 @@ type pastSink struct{ got int }
 
 func (s *pastSink) DeliverEvent(src int, msg any) { s.got++ }
 
-// TestSchedulePastTypedError pins the ErrSchedulePast contract on both
-// engines and both scheduling entry points: a past-time At/DeliverAt records
-// a ScheduleError, Run surfaces it as the typed error (errors.Is and
-// errors.As both work), and the offending event is dropped, not dispatched.
+// TestSchedulePastTypedError pins the ErrSchedulePast contract from both
+// event stores and through both scheduling entry points: a past-time
+// At/DeliverAt records a ScheduleError, Run surfaces it as the typed error
+// (errors.Is and errors.As both work), and the offending event is dropped,
+// not dispatched.
 func TestSchedulePastTypedError(t *testing.T) {
-	for name, mk := range engines {
+	for name, base := range queues {
 		t.Run(name, func(t *testing.T) {
 			t.Run("At", func(t *testing.T) {
-				e := mk(0, 0)
+				e := NewEngine(0, 0)
 				ran := false
-				e.After(10, func() {
-					e.At(5, func() { ran = true }) // 5 < now=10: component bug
+				e.At(base+10, func() {
+					e.At(base+5, func() { ran = true }) // before now: component bug
 				})
 				err := e.Run(nil)
 				if !errors.Is(err, ErrSchedulePast) {
@@ -31,17 +32,17 @@ func TestSchedulePastTypedError(t *testing.T) {
 				if !errors.As(err, &se) {
 					t.Fatalf("Run error %v does not unwrap to *ScheduleError", err)
 				}
-				if se.At != 5 || se.Now != 10 {
-					t.Fatalf("ScheduleError{At:%d, Now:%d}, want {5, 10}", se.At, se.Now)
+				if se.At != base+5 || se.Now != base+10 {
+					t.Fatalf("ScheduleError{At:%d, Now:%d}, want {%d, %d}", se.At, se.Now, base+5, base+10)
 				}
 				if ran {
 					t.Fatal("past-time event was dispatched")
 				}
 			})
 			t.Run("DeliverAt", func(t *testing.T) {
-				e := mk(0, 0)
+				e := NewEngine(0, 0)
 				s := &pastSink{}
-				e.After(10, func() { e.DeliverAt(3, s, 0, "late") })
+				e.At(base+10, func() { e.DeliverAt(base+3, s, 0, "late") })
 				if err := e.Run(nil); !errors.Is(err, ErrSchedulePast) {
 					t.Fatalf("Run = %v, want ErrSchedulePast", err)
 				}
@@ -58,20 +59,20 @@ func TestSchedulePastTypedError(t *testing.T) {
 // never run, so the typed error reaches the caller before any later state
 // change could mask it.
 func TestSchedulePastPreemptsPendingWork(t *testing.T) {
-	for name, mk := range engines {
+	for name, base := range queues {
 		t.Run(name, func(t *testing.T) {
-			e := mk(0, 0)
+			e := NewEngine(0, 0)
 			laterRan := false
-			e.After(20, func() { laterRan = true })
-			e.After(10, func() { e.At(0, func() {}) })
+			e.At(base+20, func() { laterRan = true })
+			e.At(base+10, func() { e.At(base, func() {}) })
 			if err := e.Run(nil); !errors.Is(err, ErrSchedulePast) {
 				t.Fatalf("Run = %v, want ErrSchedulePast", err)
 			}
 			if laterRan {
 				t.Fatal("event after the violation still ran")
 			}
-			if e.Now() != 10 {
-				t.Fatalf("engine advanced to %d after the failure, want 10", e.Now())
+			if e.Now() != base+10 {
+				t.Fatalf("engine advanced to %d after the failure, want %d", e.Now(), base+10)
 			}
 		})
 	}
@@ -82,11 +83,11 @@ func TestSchedulePastPreemptsPendingWork(t *testing.T) {
 // original ScheduleError root cause.
 func TestSchedulePastFirstErrorWins(t *testing.T) {
 	other := errors.New("secondary failure")
-	for name, mk := range engines {
+	for name, base := range queues {
 		t.Run(name, func(t *testing.T) {
-			e := mk(0, 0)
-			e.After(10, func() {
-				e.At(1, func() {})
+			e := NewEngine(0, 0)
+			e.At(base+10, func() {
+				e.At(base+1, func() {})
 				e.Fail(other)
 			})
 			err := e.Run(nil)

@@ -6,21 +6,14 @@
 // interconnect) is built on this kernel; the operational exploration layer in
 // internal/model does not use it (exploration is untimed).
 //
-// Two schedulers back the same Engine API. The default is a calendar queue: a
-// fixed-size timing wheel of per-cycle slots holding value-typed events, with
-// a binary min-heap fallback for events scheduled beyond the wheel horizon.
-// Slot buffers and the overflow heap's backing array are recycled, so
-// steady-state scheduling is allocation-free, and a whole cycle's slot is
-// dispatched as one batch. NewHeapEngine builds the original
-// container/heap-based scheduler (one allocation per event); it dispatches in
-// exactly the same order and exists as the baseline for differential tests
-// and benchmarks.
+// The scheduler is a calendar queue: a fixed-size timing wheel of per-cycle
+// slots holding value-typed events, with a binary min-heap fallback for
+// events scheduled beyond the wheel horizon. Slot buffers and the overflow
+// heap's backing array are recycled, so steady-state scheduling is
+// allocation-free, and a whole cycle's slot is dispatched as one batch.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is simulated time in cycles.
 type Time int64
@@ -32,9 +25,8 @@ type Sink interface {
 	DeliverEvent(src int, msg any)
 }
 
-// event is a scheduled callback (fn) or delivery (sink/src/msg). The calendar
-// scheduler stores events by value in slot buffers; the legacy heap scheduler
-// stores them behind pointers.
+// event is a scheduled callback (fn) or delivery (sink/src/msg), stored by
+// value in slot buffers and the overflow heap.
 type event struct {
 	at   Time
 	seq  uint64
@@ -42,26 +34,6 @@ type event struct {
 	sink Sink
 	src  int
 	msg  any
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
 }
 
 // wheelSize is the calendar horizon in cycles. Events scheduled less than
@@ -145,7 +117,7 @@ type Clock interface {
 }
 
 // Engine is the discrete-event simulator. The zero value is not usable; call
-// NewEngine or NewHeapEngine.
+// NewEngine.
 type Engine struct {
 	now    Time
 	seq    uint64
@@ -154,11 +126,6 @@ type Engine struct {
 	budget uint64
 	failed error
 
-	// legacy selects the original container/heap scheduler.
-	legacy bool
-	queue  eventQueue
-
-	// Calendar scheduler state.
 	live  int // events resident in wheel slots
 	over  overflow
 	wheel [wheelSize]slot
@@ -169,13 +136,6 @@ type Engine struct {
 // being exceeded makes Run return ErrBudget. Pass 0 for no bound.
 func NewEngine(maxTime Time, maxEvents uint64) *Engine {
 	return &Engine{maxT: maxTime, budget: maxEvents}
-}
-
-// NewHeapEngine returns an engine using the original binary-heap scheduler.
-// It dispatches the same schedule in the same order as NewEngine; it is kept
-// as the comparison baseline for equivalence tests and throughput benchmarks.
-func NewHeapEngine(maxTime Time, maxEvents uint64) *Engine {
-	return &Engine{maxT: maxTime, budget: maxEvents, legacy: true}
 }
 
 // Now returns the current simulated time.
@@ -212,27 +172,18 @@ func (e *Engine) At(t Time, fn func()) {
 		return
 	}
 	e.seq++
-	if e.legacy {
-		heap.Push(&e.queue, &event{at: t, seq: e.seq, fn: fn})
-		return
-	}
 	e.place(event{at: t, seq: e.seq, fn: fn})
 }
 
-// DeliverAt schedules s.DeliverEvent(src, msg) at the absolute time t. On the
-// calendar engine this is allocation-free (the event is stored by value); on
-// the legacy heap engine it degrades to the closure it replaces. Past-time
-// scheduling fails the run exactly like At.
+// DeliverAt schedules s.DeliverEvent(src, msg) at the absolute time t. The
+// event is stored by value, so scheduling allocates nothing per call.
+// Past-time scheduling fails the run exactly like At.
 func (e *Engine) DeliverAt(t Time, s Sink, src int, msg any) {
 	if t < e.now {
 		e.Fail(&ScheduleError{At: t, Now: e.now})
 		return
 	}
 	e.seq++
-	if e.legacy {
-		heap.Push(&e.queue, &event{at: t, seq: e.seq, fn: func() { s.DeliverEvent(src, msg) }})
-		return
-	}
 	e.place(event{at: t, seq: e.seq, sink: s, src: src, msg: msg})
 }
 
@@ -271,41 +222,13 @@ var ErrBudget = fmt.Errorf("sim: time or event budget exhausted")
 // Run dispatches events until the queue is empty, until the predicate done
 // (if non-nil) returns true, or until a budget is exceeded. It returns nil on
 // a drained queue or satisfied predicate.
+//
+// Each iteration advances to the next populated cycle, then drains that
+// cycle's slot as one batch, merging in any overflow events that carry the
+// same timestamp (an event scheduled from far away can share a cycle with
+// one scheduled inside the horizon; schedule order must still break the tie,
+// so the merge compares sequence numbers).
 func (e *Engine) Run(done func() bool) error {
-	if e.legacy {
-		return e.runHeap(done)
-	}
-	return e.runWheel(done)
-}
-
-func (e *Engine) runHeap(done func() bool) error {
-	for e.queue.Len() > 0 {
-		if e.failed != nil {
-			return e.failed
-		}
-		if done != nil && done() {
-			return nil
-		}
-		ev := heap.Pop(&e.queue).(*event)
-		e.now = ev.at
-		if e.maxT > 0 && e.now > e.maxT {
-			return ErrBudget
-		}
-		e.steps++
-		if e.budget > 0 && e.steps > e.budget {
-			return ErrBudget
-		}
-		ev.fn()
-	}
-	return e.finish(done)
-}
-
-// runWheel is the calendar dispatch loop: advance to the next populated
-// cycle, then drain that cycle's slot as one batch, merging in any overflow
-// events that carry the same timestamp (an event scheduled from far away can
-// share a cycle with one scheduled inside the horizon; schedule order must
-// still break the tie, so the merge compares sequence numbers).
-func (e *Engine) runWheel(done func() bool) error {
 	for e.live > 0 || e.over.len() > 0 {
 		if e.failed != nil {
 			return e.failed
@@ -400,9 +323,4 @@ func (e *Engine) finish(done func() bool) error {
 var ErrDeadlock = fmt.Errorf("sim: deadlock (event queue drained before completion)")
 
 // Pending returns the number of undelivered events.
-func (e *Engine) Pending() int {
-	if e.legacy {
-		return e.queue.Len()
-	}
-	return e.live + e.over.len()
-}
+func (e *Engine) Pending() int { return e.live + e.over.len() }

@@ -5,11 +5,13 @@ import (
 	"testing"
 )
 
-// engines runs a subtest against both schedulers; the heap engine is the
-// reference the calendar engine must match event for event.
-var engines = map[string]func(Time, uint64) *Engine{
-	"calendar": NewEngine,
-	"heap":     NewHeapEngine,
+// queues runs a subtest's scenario through each of the engine's two event
+// stores: "calendar" schedules it at time base 0, inside the wheel horizon;
+// "heap" shifts it past the horizon, so its first events wait in the
+// overflow heap and dispatch from there.
+var queues = map[string]Time{
+	"calendar": 0,
+	"heap":     2 * wheelSize,
 }
 
 func TestEngineOrdering(t *testing.T) {
@@ -57,20 +59,20 @@ func TestEngineAfterChains(t *testing.T) {
 }
 
 func TestEngineSchedulePastFails(t *testing.T) {
-	for name, mk := range engines {
+	for name, base := range queues {
 		t.Run(name, func(t *testing.T) {
-			e := mk(0, 0)
+			e := NewEngine(0, 0)
 			ran := false
-			e.At(10, func() {
-				e.At(5, func() { ran = true })
+			e.At(base+10, func() {
+				e.At(base+5, func() { ran = true })
 			})
 			err := e.Run(nil)
 			if !errors.Is(err, ErrSchedulePast) {
 				t.Fatalf("err = %v, want ErrSchedulePast", err)
 			}
 			var se *ScheduleError
-			if !errors.As(err, &se) || se.At != 5 || se.Now != 10 {
-				t.Fatalf("err = %#v, want ScheduleError{At:5, Now:10}", err)
+			if !errors.As(err, &se) || se.At != base+5 || se.Now != base+10 {
+				t.Fatalf("err = %#v, want ScheduleError{At:%d, Now:%d}", err, base+5, base+10)
 			}
 			if ran {
 				t.Error("past-time event must be dropped, not dispatched")
