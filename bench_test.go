@@ -208,7 +208,7 @@ func BenchmarkExplorerKey(b *testing.B) {
 	m := model.NewWODef2(t.Prog)
 	// Walk a few transitions so the key covers non-initial machine state.
 	for i := 0; i < 4; i++ {
-		ts := m.Transitions()
+		ts := m.Transitions(nil)
 		if len(ts) == 0 {
 			break
 		}

@@ -46,9 +46,10 @@
 //
 // -explore-workers widens each individual exploration inside the kernel: the
 // default 1 keeps explorations serial (the campaign already fans programs
-// across cores), an explicit N runs N workers per exploration, and 0
-// auto-sizes each exploration to whatever cores the campaign fan-out has left
-// spare. Outcome sets are identical at every width.
+// across cores), an explicit N runs N workers per exploration, and 0 runs
+// each verdict's explorations side by side, each auto-sized to whatever cores
+// the campaign and verdict fan-outs have left spare. Outcome sets are
+// identical at every width.
 //
 // -machines accepts a comma-separated list of machine names plus the aliases
 // "weak" (every machine claiming the contract; the default), "all", and

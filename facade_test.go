@@ -22,7 +22,7 @@ func TestNewMachineAllModels(t *testing.T) {
 		if mach == nil {
 			t.Fatalf("%s: nil machine", m)
 		}
-		ts := mach.Transitions()
+		ts := mach.Transitions(nil)
 		if len(ts) == 0 {
 			t.Fatalf("%s: no initial transitions", m)
 		}

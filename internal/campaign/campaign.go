@@ -67,8 +67,9 @@ type Spec struct {
 	// Minimize delta-debugs violations to minimal reproducers.
 	Minimize bool `json:"minimize,omitempty"`
 	// ExploreWorkers is the kernel width per exploration (0 or 1 = serial,
-	// negative = auto-size from the par budget). Outcome-identical at every
-	// width, hence also not in the cache key.
+	// negative = auto-size from the par budget, with each verdict's
+	// explorations also run side by side; see fuzz.Checker.Check).
+	// Outcome-identical at every width, hence also not in the cache key.
 	ExploreWorkers int `json:"explore_workers,omitempty"`
 	// FaultSeed and FaultRates configure chaos mode; program i uses
 	// FaultSeed+i. FaultRates is the -fault-rates syntax ("" = defaults).

@@ -284,7 +284,9 @@ func FuzzVerdict(store *Store, p *program.Program, factories []litmus.Factory, x
 	var v Verdict
 	switch {
 	case err != nil && errors.Is(err, model.ErrStateBudget):
+		// Skipped, but not free: the explorations that ran still count.
 		v.Skipped = true
+		v.States = crep.States
 	case err != nil:
 		return Verdict{}, false, err
 	default:

@@ -308,7 +308,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, req *http.Request) {
 	if cr.MaxStates > 0 {
 		xt.MaxStates = cr.MaxStates
 	}
-	xt.Workers = -1 // auto-size each exploration from the shared par budget
+	xt.Workers = -1 // fan the verdict's explorations out on the shared par budget
 	names := make([]string, len(factories))
 	for i, f := range factories {
 		names[i] = f.Name

@@ -6,13 +6,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
 	"weakorder/internal/fuzz"
+	"weakorder/internal/litmus"
 	"weakorder/internal/par"
 	"weakorder/internal/program"
 )
@@ -123,30 +126,82 @@ func TestCheckEndpointCacheHit(t *testing.T) {
 	}
 }
 
+// verdictWidths are the par widths the /v1/check cost tests run at: 1, 2
+// and GOMAXPROCS, the last capped at one more than a default verdict's
+// explorations (the SC pass and the ten weakly ordered machines). Up to that
+// width the verdict's fan-out claims every slot and each exploration runs
+// serially, so reduced state counts are deterministic; a wider pool would
+// hand spare slots to the explorations themselves.
+func verdictWidths() []int {
+	widths := []int{1, 2}
+	if n := min(runtime.GOMAXPROCS(0), 12); n > 2 {
+		widths = append(widths, n)
+	}
+	return widths
+}
+
 // TestCheckExploredNowIsWholeCost pins a cold /v1/check's explored_now to
-// the verdict's whole exploration cost: the States fuzz.Checker.Check reports,
-// which is the SC pass plus every machine. The auto-sized explorations run
-// serially here, so the reduced state counts are deterministic.
+// the verdict's whole exploration cost: the States a serial
+// fuzz.Checker.Check reports, which is the SC pass plus every machine, at
+// every fan-out width.
 func TestCheckExploredNowIsWholeCost(t *testing.T) {
-	defer par.SetWorkers(1)()
-	_, hs := newTestService(t)
-	for i := 0; i < 4; i++ {
-		_, p := ProgramFor(1, i)
-		var resp CheckResponse
-		if code := postJSON(t, hs.URL+"/v1/check", CheckRequest{Litmus: fuzz.EmitLitmus(p)}, &resp); code != http.StatusOK {
-			t.Fatalf("%s: status %d", p.Name, code)
-		}
-		res, err := program.Parse(fuzz.EmitLitmus(p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := (&fuzz.Checker{}).Check(res.Program) // the weakly ordered machines, as /v1/check defaults
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Cached || resp.ExploredNow != rep.States {
-			t.Errorf("%s: cached %v, explored_now %d, want a cold reply exploring %d", p.Name, resp.Cached, resp.ExploredNow, rep.States)
-		}
+	for _, w := range verdictWidths() {
+		t.Run(fmt.Sprintf("width=%d", w), func(t *testing.T) {
+			defer par.SetWorkers(w)()
+			_, hs := newTestService(t)
+			for i := 0; i < 4; i++ {
+				_, p := ProgramFor(1, i)
+				var resp CheckResponse
+				if code := postJSON(t, hs.URL+"/v1/check", CheckRequest{Litmus: fuzz.EmitLitmus(p)}, &resp); code != http.StatusOK {
+					t.Fatalf("%s: status %d", p.Name, code)
+				}
+				res, err := program.Parse(fuzz.EmitLitmus(p))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := (&fuzz.Checker{}).Check(res.Program) // the weakly ordered machines, as /v1/check defaults
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.Cached || resp.ExploredNow != rep.States {
+					t.Errorf("%s: cached %v, explored_now %d, want a cold reply exploring %d", p.Name, resp.Cached, resp.ExploredNow, rep.States)
+				}
+			}
+		})
+	}
+}
+
+// TestCheckSkippedVerdictCountsExploration pins the cost a verdict skipped on
+// the state budget reports: the explorations that ran before the budget
+// stopped one still count. wrc-transitive-sync's SC pass alone exceeds 500
+// states, so at width 1, where the fan-out runs in order and skips the
+// machines once the SC pass fails, explored_now is exactly the budget; wider
+// fan-outs may run machines beside it, so it is at least the budget.
+func TestCheckSkippedVerdictCountsExploration(t *testing.T) {
+	const budget = 500
+	lt, ok := litmus.ByName("wrc-transitive-sync")
+	if !ok {
+		t.Fatal("wrc-transitive-sync is not in the litmus corpus")
+	}
+	for _, w := range verdictWidths() {
+		t.Run(fmt.Sprintf("width=%d", w), func(t *testing.T) {
+			defer par.SetWorkers(w)()
+			_, hs := newTestService(t)
+			var resp CheckResponse
+			if code := postJSON(t, hs.URL+"/v1/check", CheckRequest{Litmus: fuzz.EmitLitmus(lt.Prog), MaxStates: budget}, &resp); code != http.StatusOK {
+				t.Fatalf("status %d", code)
+			}
+			if !resp.Skipped || resp.Cached {
+				t.Fatalf("skipped %v, cached %v; want a cold skipped verdict", resp.Skipped, resp.Cached)
+			}
+			want := "at least"
+			if w == 1 {
+				want = "exactly"
+			}
+			if resp.ExploredNow < budget || w == 1 && resp.ExploredNow != budget || resp.States != resp.ExploredNow {
+				t.Errorf("explored_now %d, states %d; want both %s %d", resp.ExploredNow, resp.States, want, budget)
+			}
+		})
 	}
 }
 

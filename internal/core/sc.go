@@ -191,9 +191,9 @@ type scSystem struct {
 // Name implements explore.TransitionSystem.
 func (s *scSystem) Name() string { return "sc-replay" }
 
-// Clone implements explore.TransitionSystem. The recorded execution and the
-// derived static tables are immutable and shared.
-func (s *scSystem) Clone() explore.TransitionSystem {
+// Clone implements explore.TransitionSystem, ignoring reuse. The recorded
+// execution and the derived static tables are immutable and shared.
+func (s *scSystem) Clone(explore.TransitionSystem) explore.TransitionSystem {
 	c := *s
 	c.next = append([]int(nil), s.next...)
 	c.memory = append([]mem.Value(nil), s.memory...)
@@ -213,8 +213,7 @@ func (s *scSystem) frontier(p int) (mem.Event, bool) {
 // Steps implements explore.TransitionSystem. Processor order is canonical:
 // enabledness is a function of (frontier, memory), which is exactly the state
 // key, so key-equal states list position-aligned steps.
-func (s *scSystem) Steps() []explore.Step {
-	var steps []explore.Step
+func (s *scSystem) Steps(steps []explore.Step) []explore.Step {
 	for p := range s.byProc {
 		ev, ok := s.frontier(p)
 		if !ok {

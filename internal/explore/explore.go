@@ -211,20 +211,22 @@ func (f Footprint) Conflicts(g Footprint, visibleSyncOrder bool) bool {
 }
 
 // TransitionSystem is a nondeterministic system under exploration. All
-// methods are called from a single goroutine; Clone must return a deep,
-// independent copy.
+// methods of one state are called from a single goroutine.
 type TransitionSystem interface {
 	// Name identifies the system in error messages.
 	Name() string
-	// Clone returns an independent deep copy.
-	Clone() TransitionSystem
-	// Steps lists the currently enabled steps. The order must be canonical:
-	// two states with equal keys must list position-aligned steps (same
-	// kinds, agents, and footprints at each index), since the kernel stores
+	// Clone returns an independent deep copy. reuse is nil or a dead state of
+	// the same run: one the kernel no longer references, which the copy may
+	// overwrite. Systems that cannot use it ignore it.
+	Clone(reuse TransitionSystem) TransitionSystem
+	// Steps appends the currently enabled steps to buf and returns it; buf is
+	// storage the kernel owns and reuses. The order must be canonical: two
+	// states with equal keys must list position-aligned steps (same kinds,
+	// agents, and footprints at each index), since the kernel stores
 	// positional masks per visited state. The kernel calls Steps exactly once
 	// per state, before AppendKey, so systems may use it to normalize lazy
 	// state.
-	Steps() []Step
+	Steps(buf []Step) []Step
 	// Apply performs one enabled step.
 	Apply(Step) error
 	// Done reports whether a step-less state is a legitimate terminal state.
@@ -337,33 +339,46 @@ type visitedSet struct {
 // a 400 000-state budget costs more to allocate and clear than such a search.
 const initialVisited = 1024
 
-func newVisitedSet(fullKeys bool, capacity int) *visitedSet {
-	v := &visitedSet{}
+func newVisitedSet(fullKeys bool, capacity int) visitedSet {
 	if fullKeys {
-		v.full = make(map[string]uint64, capacity)
+		return visitedSet{full: make(map[string]uint64, capacity)}
+	}
+	return visitedSet{hashed: make(map[digest.Sum]uint64, capacity)}
+}
+
+// visit performs the visited-store transition of one entered state, given
+// its key and the key's digest (which FullKeys mode does not read). A first
+// visit asks reserve for a budget slot — reporting over when it refuses —
+// stores skip, and returns todo = all&^skip with isNew set. A revisit returns
+// the steps stored as skipped before but expandable now (old&^skip) and
+// stores the intersection old&skip: masks only ever shrink, and every bit
+// cleared from a stored mask is handed to exactly one visit.
+func (v *visitedSet) visit(key []byte, sum digest.Sum, all, skip uint64, reserve func() bool) (todo uint64, isNew, over bool) {
+	var old uint64
+	var seen bool
+	if v.full != nil {
+		old, seen = v.full[string(key)]
 	} else {
-		v.hashed = make(map[digest.Sum]uint64, capacity)
+		old, seen = v.hashed[sum]
 	}
-	return v
-}
-
-// get looks the key up, reporting the stored mask and presence.
-func (v *visitedSet) get(key []byte) (uint64, bool) {
+	switch {
+	case !seen && !reserve():
+		return 0, false, true
+	case !seen:
+		todo, isNew = all&^skip, true
+		old = skip
+	default:
+		if todo = old &^ skip; todo == 0 {
+			return 0, false, false
+		}
+		old &= skip
+	}
 	if v.full != nil {
-		m, ok := v.full[string(key)]
-		return m, ok
+		v.full[string(key)] = old
+	} else {
+		v.hashed[sum] = old
 	}
-	m, ok := v.hashed[digest.Sum128(key)]
-	return m, ok
-}
-
-// put stores (or updates) the mask for the key.
-func (v *visitedSet) put(key []byte, mask uint64) {
-	if v.full != nil {
-		v.full[string(key)] = mask
-		return
-	}
-	v.hashed[digest.Sum128(key)] = mask
+	return todo, isNew, false
 }
 
 func (v *visitedSet) len() int {
@@ -495,6 +510,11 @@ func (r *reducer) persistentMask(sys TransitionSystem, steps []Step) uint64 {
 // pre-order of the step lists, so state spaces bounded only by MaxStates
 // cannot overflow the goroutine stack. Run allocates its working state
 // locally, so one Explorer may be shared by concurrent explorations.
+//
+// Run never hands the caller's sys to final and never recycles it: the
+// search starts from a clone. States passed to final are the caller's to
+// keep; every other state the search drops is recycled as the storage of a
+// later clone (see TransitionSystem.Clone).
 func (x *Explorer) Run(sys TransitionSystem, final func(TransitionSystem) bool) (Stats, error) {
 	if w, release := x.resolveWorkers(); w > 1 {
 		st, err := x.runParallel(sys, final, w)
@@ -503,92 +523,90 @@ func (x *Explorer) Run(sys TransitionSystem, final func(TransitionSystem) bool) 
 	} else {
 		release()
 	}
-	budget := x.MaxStates
-	if budget <= 0 {
-		budget = DefaultMaxStates
-	}
+	budget := x.budget()
 	st := Stats{}
 	visited := newVisitedSet(x.FullKeys, initialVisited)
-	finals := newVisitedSet(x.FullKeys, 16)
+	reserve := func() bool { return visited.len() < budget }
 	red := &reducer{syncOrder: x.VisibleSyncOrder}
 	stop := false
-	var key []byte // reused across all states of this exploration
+	var (
+		key []byte // reused across all states of this exploration
+		// stepBufs[d] holds the step list of the stack frame at depth d, its
+		// only user: a child entered at depth d exists only once the frame
+		// that was there has been popped.
+		stepBufs [][]Step
+		// childSleep is the sleep set of the child being entered; enter
+		// reads it only before it returns.
+		childSleep []Step
+		// free holds the states the search dropped, the storage of its next
+		// clones. The stack depth bounds it: a clone allocates only when it
+		// is empty.
+		free []TransitionSystem
+	)
 
-	// enter processes one state: path bound, step computation, reduction
-	// masks, dedup against the visited store, budget, terminal handling. It
-	// reports descend=true when the state has steps left to expand.
-	enter := func(s TransitionSystem, sleep []Step) (f frame, descend bool, err error) {
+	// enter processes one state entered at stack depth d: path bound, step
+	// computation, reduction masks, the visited-store transition, budget,
+	// terminal handling. It reports descend=true when the state has steps
+	// left to expand, and otherwise drops it onto the free list — except a
+	// terminal state handed to final, which the callback may keep.
+	enter := func(s TransitionSystem, sleep []Step, d int) (f frame, descend bool, err error) {
 		if s.Prune() {
 			st.Truncated++
+			free = append(free, s)
 			return frame{}, false, nil
 		}
-		// Compute steps before keying: Steps() may normalize lazy state so
+		if d == len(stepBufs) {
+			stepBufs = append(stepBufs, nil)
+		}
+		// Compute steps before keying: Steps may normalize lazy state so
 		// that equivalent states reached along different paths key
 		// identically.
-		steps := s.Steps()
+		steps := s.Steps(stepBufs[d][:0])
+		stepBufs[d] = steps
 		key = s.AppendKey(key[:0])
-		// skip collects the steps this visit will not expand: inherited
-		// sleepers plus everything outside the persistent set. States with
-		// more than 64 enabled steps fall back to full expansion — sound,
-		// merely unreduced — since the masks cannot describe them.
-		var sleepMask, skip uint64
-		if len(steps) <= 64 && !x.FullExploration {
-			for _, sl := range sleep {
-				// A sleeping step is necessarily still enabled here
-				// (independence preserves enabledness), so identity matching
-				// against the current list loses nothing.
-				for i := range steps {
-					if steps[i].same(sl) {
-						sleepMask |= uint64(1) << i
-						break
-					}
-				}
-			}
-			skip = sleepMask
-			if len(steps) > 1 {
-				skip |= maskAll(len(steps)) &^ red.persistentMask(s, steps)
-			}
+		sleepMask, skip := x.skipMasks(red, s, steps, sleep)
+		var sum digest.Sum
+		if !x.FullKeys {
+			sum = digest.Sum128(key)
 		}
-		old, seen := visited.get(key)
-		if !seen {
-			if visited.len() >= budget {
-				return frame{}, false, &StateBudgetError{System: s.Name(), States: visited.len()}
-			}
-			visited.put(key, skip)
+		todo, isNew, over := visited.visit(key, sum, maskAll(len(steps)), skip, reserve)
+		if over {
+			return frame{}, false, &StateBudgetError{System: s.Name(), States: visited.len()}
+		}
+		if isNew {
 			st.States++
 			if len(steps) == 0 {
 				if !s.Done() {
 					if x.AllowStuck {
+						free = append(free, s)
 						return frame{}, false, nil
 					}
 					return frame{}, false, fmt.Errorf("explore: %s deadlocked (no enabled steps, not done)", s.Name())
 				}
-				if _, dup := finals.get(key); !dup {
-					finals.put(key, 0)
-					st.Finals++
-					if !final(s) {
-						stop = true
-					}
+				// The store admitted this key just now, so this is the
+				// terminal state's one delivery.
+				st.Finals++
+				if !final(s) {
+					stop = true
 				}
 				return frame{}, false, nil
 			}
-			return frame{sys: s, steps: steps, sleep: sleepMask, todo: maskAll(len(steps)) &^ skip}, true, nil
 		}
-		// Revisit: steps that were skipped when the state was last left but
-		// are expandable now were never explored from here and are not
-		// covered elsewhere — re-expand exactly those, and store the
-		// intersection. (The persistent set is a deterministic function of
-		// the state, so the difference can only come from a smaller sleep
-		// set; Steps order is canonical, so the positional masks align.)
-		todo := old &^ skip
+		// A revisit re-expands exactly the steps skipped when the state was
+		// last left that are expandable now (the persistent set is a
+		// deterministic function of the state, so the difference can only
+		// come from a smaller sleep set; Steps order is canonical, so the
+		// positional masks align). Nothing to expand — a revisit covered
+		// before, or a first visit whose every step is asleep or outside
+		// the persistent set — leaves the state dead.
 		if todo == 0 {
+			free = append(free, s)
 			return frame{}, false, nil
 		}
-		visited.put(key, old&skip)
 		return frame{sys: s, steps: steps, sleep: sleepMask, todo: todo}, true, nil
 	}
 
-	root, descend, err := enter(sys.Clone(), nil)
+	root, descend, err := enter(sys.Clone(nil), nil, 0)
 	if err != nil {
 		return st, err
 	}
@@ -607,6 +625,9 @@ func (x *Explorer) Run(sys TransitionSystem, final func(TransitionSystem) bool) 
 			i++
 		}
 		if i >= len(top.steps) {
+			// Defensive: enter never descends with nothing to expand, and
+			// the last pending step consumes its frame below.
+			free = append(free, top.sys)
 			stack = stack[:len(stack)-1]
 			continue
 		}
@@ -619,16 +640,7 @@ func (x *Explorer) Run(sys TransitionSystem, final func(TransitionSystem) bool) 
 		// the persistent set are NOT passed down: their coverage argument is
 		// the persistence of the chosen subset, not an explored sibling
 		// subtree.
-		var childSleep []Step
-		if !x.FullExploration {
-			if m := top.sleep | top.done; m != 0 {
-				for j := range top.steps {
-					if m&(uint64(1)<<j) != 0 && Independent(top.steps[j], t, x.VisibleSyncOrder) {
-						childSleep = append(childSleep, top.steps[j])
-					}
-				}
-			}
-		}
+		childSleep = x.appendChildSleep(childSleep[:0], top.steps, top.sleep|top.done, t)
 		top.done |= uint64(1) << i
 		last := top.todo&^maskAll(i+1) == 0
 		if len(top.steps) > 64 {
@@ -644,13 +656,17 @@ func (x *Explorer) Run(sys TransitionSystem, final func(TransitionSystem) bool) 
 			c = top.sys
 			stack = stack[:len(stack)-1]
 		} else {
-			c = top.sys.Clone()
+			var reuse TransitionSystem
+			if n := len(free); n > 0 {
+				reuse, free[n-1], free = free[n-1], nil, free[:n-1]
+			}
+			c = top.sys.Clone(reuse)
 		}
 		if err := c.Apply(t); err != nil {
 			return st, fmt.Errorf("explore: applying %s on %s: %w", t, c.Name(), err)
 		}
 		st.Transitions++
-		child, descend, err := enter(c, childSleep)
+		child, descend, err := enter(c, childSleep, len(stack))
 		if err != nil {
 			return st, err
 		}
@@ -659,4 +675,55 @@ func (x *Explorer) Run(sys TransitionSystem, final func(TransitionSystem) bool) 
 		}
 	}
 	return st, nil
+}
+
+// budget is the effective MaxStates.
+func (x *Explorer) budget() int {
+	if x.MaxStates <= 0 {
+		return DefaultMaxStates
+	}
+	return x.MaxStates
+}
+
+// skipMasks computes, for a state with the given enabled steps entered with
+// the given sleep set, the positions of its sleeping steps and the steps
+// this visit will not expand: the sleepers plus everything outside the
+// persistent set. States with more than 64 enabled steps fall back to full
+// expansion — sound, merely unreduced — since the masks cannot describe
+// them.
+func (x *Explorer) skipMasks(red *reducer, s TransitionSystem, steps, sleep []Step) (sleepMask, skip uint64) {
+	if len(steps) > 64 || x.FullExploration {
+		return 0, 0
+	}
+	for _, sl := range sleep {
+		// A sleeping step is necessarily still enabled here (independence
+		// preserves enabledness), so identity matching against the current
+		// list loses nothing.
+		for i := range steps {
+			if steps[i].same(sl) {
+				sleepMask |= uint64(1) << i
+				break
+			}
+		}
+	}
+	skip = sleepMask
+	if len(steps) > 1 {
+		skip |= maskAll(len(steps)) &^ red.persistentMask(s, steps)
+	}
+	return sleepMask, skip
+}
+
+// appendChildSleep appends to buf the sleep set of the child reached by t:
+// the steps of covered (the sleepers and already-expanded siblings, as a
+// mask over steps) that commute with t.
+func (x *Explorer) appendChildSleep(buf, steps []Step, covered uint64, t Step) []Step {
+	if x.FullExploration || covered == 0 {
+		return buf
+	}
+	for j := 0; j < len(steps) && j < 64; j++ {
+		if covered&(uint64(1)<<j) != 0 && Independent(steps[j], t, x.VisibleSyncOrder) {
+			buf = append(buf, steps[j])
+		}
+	}
+	return buf
 }

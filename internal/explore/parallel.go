@@ -107,10 +107,10 @@ func (d *wsDeque) steal() (workItem, bool) {
 // per-shard maps stay dense enough to be cache-friendly.
 const visitedShards = 64
 
+// visitedShard is one stripe: the serial store behind its own mutex.
 type visitedShard struct {
-	mu     sync.Mutex
-	hashed map[digest.Sum]uint64
-	full   map[string]uint64
+	mu sync.Mutex
+	visitedSet
 }
 
 // stripedVisited is the concurrent visited store: states are assigned to
@@ -119,66 +119,40 @@ type visitedShard struct {
 // hence the mutex serializing its mask transitions, is a stable function of
 // the state alone.
 type stripedVisited struct {
-	budget int64
-	count  atomic.Int64 // distinct states committed (reservation-counted)
-	shards [visitedShards]visitedShard
+	budget  int64
+	count   atomic.Int64 // distinct states committed (reservation-counted)
+	reserve func() bool  // claims one budget slot for a first visit
+	shards  [visitedShards]visitedShard
 }
 
 func newStripedVisited(fullKeys bool, capacity, budget int) *stripedVisited {
 	v := &stripedVisited{budget: int64(budget)}
+	v.reserve = func() bool {
+		if v.count.Add(1) > v.budget {
+			v.count.Add(-1)
+			return false
+		}
+		return true
+	}
 	per := capacity/visitedShards + 1
 	for i := range v.shards {
-		if fullKeys {
-			v.shards[i].full = make(map[string]uint64, per)
-		} else {
-			v.shards[i].hashed = make(map[digest.Sum]uint64, per)
-		}
+		v.shards[i].visitedSet = newVisitedSet(fullKeys, per)
 	}
 	return v
 }
 
-// visit performs one atomic visited-store transition for the state with the
-// given key: a first visit reserves a budget slot, stores skip, and returns
-// todo = all&^skip with isNew set; a revisit returns the steps stored as
-// skipped before but expandable now (old&^skip) and stores the intersection
-// old&skip. The shard mutex makes the read-modify-write atomic, so when two
-// workers race to a state one of them observes the other's store: masks
-// shrink monotonically, and every bit ever cleared from a stored mask is
-// returned in exactly one visit's todo — a lost race re-expands at most the
-// mask difference, never loses a step.
+// visit performs one atomic visited-store transition (visitedSet.visit) for
+// the state with the given key. The shard mutex makes the read-modify-write
+// atomic, so when two workers race to a state one of them observes the
+// other's store: masks shrink monotonically, and every bit ever cleared from
+// a stored mask is returned in exactly one visit's todo — a lost race
+// re-expands at most the mask difference, never loses a step.
 func (v *stripedVisited) visit(key []byte, all, skip uint64) (todo uint64, isNew, overBudget bool) {
 	sum := digest.Sum128(key)
 	sh := &v.shards[sum[0]&(visitedShards-1)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.full != nil {
-		old, seen := sh.full[string(key)]
-		if !seen {
-			if v.count.Add(1) > v.budget {
-				v.count.Add(-1)
-				return 0, false, true
-			}
-			sh.full[string(key)] = skip
-			return all &^ skip, true, false
-		}
-		if todo = old &^ skip; todo != 0 {
-			sh.full[string(key)] = old & skip
-		}
-		return todo, false, false
-	}
-	old, seen := sh.hashed[sum]
-	if !seen {
-		if v.count.Add(1) > v.budget {
-			v.count.Add(-1)
-			return 0, false, true
-		}
-		sh.hashed[sum] = skip
-		return all &^ skip, true, false
-	}
-	if todo = old &^ skip; todo != 0 {
-		sh.hashed[sum] = old & skip
-	}
-	return todo, false, false
+	return sh.visit(key, sum, all, skip, v.reserve)
 }
 
 // prun is the shared state of one parallel Run.
@@ -200,13 +174,41 @@ type prun struct {
 	idlers atomic.Int32
 }
 
-// workerState is the per-worker scratch: reducer arrays, the reused key
-// buffer, and the stats buffer merged after the pool drains.
+// workerState is the per-worker scratch: reducer arrays, the reused key,
+// step, sleep and publication buffers, the free list, and the stats buffer
+// merged after the pool drains.
 type workerState struct {
 	id    int
 	red   *reducer
 	key   []byte
+	steps []Step     // the step list of the state being expanded
+	sleep []Step     // the inline child's sleep set
+	pubs  []workItem // the siblings of one expansion, awaiting publication
+	// free holds the states this worker dropped, the storage of its next
+	// clones. States migrate between workers with the items that carry
+	// them, so a worker that drops more than it clones would hoard them
+	// without the maxFree cap.
+	free  []TransitionSystem
 	stats Stats
+}
+
+// maxFree caps a worker's free list.
+const maxFree = 64
+
+// drop recycles a state the worker no longer references.
+func (ws *workerState) drop(s TransitionSystem) {
+	if len(ws.free) < maxFree {
+		ws.free = append(ws.free, s)
+	}
+}
+
+// clone copies s into the storage of a dropped state, if the worker has one.
+func (ws *workerState) clone(s TransitionSystem) TransitionSystem {
+	var reuse TransitionSystem
+	if n := len(ws.free); n > 0 {
+		reuse, ws.free[n-1], ws.free = ws.free[n-1], nil, ws.free[:n-1]
+	}
+	return s.Clone(reuse)
 }
 
 // pframe mirrors the serial frame for one expansion. wide marks the first
@@ -223,13 +225,9 @@ type pframe struct {
 
 // runParallel is Run at width > 1.
 func (x *Explorer) runParallel(sys TransitionSystem, final func(TransitionSystem) bool, width int) (Stats, error) {
-	budget := x.MaxStates
-	if budget <= 0 {
-		budget = DefaultMaxStates
-	}
 	p := &prun{
 		x:       x,
-		visited: newStripedVisited(x.FullKeys, initialVisited, budget),
+		visited: newStripedVisited(x.FullKeys, initialVisited, x.budget()),
 		deques:  make([]*wsDeque, width),
 		final:   final,
 	}
@@ -238,7 +236,7 @@ func (x *Explorer) runParallel(sys TransitionSystem, final func(TransitionSystem
 		p.deques[i] = &wsDeque{}
 	}
 	p.pending.Store(1)
-	p.deques[0].push(workItem{sys: sys.Clone()})
+	p.deques[0].push(workItem{sys: sys.Clone(nil)})
 	stats := make([]Stats, width)
 	var wg sync.WaitGroup
 	wg.Add(width)
@@ -385,13 +383,13 @@ func (p *prun) process(ws *workerState, it workItem) error {
 		// Sibling i carries the earlier-expanded siblings that commute with
 		// it in its sleep set, exactly as if they had been expanded first —
 		// coverage is a property of the explored set at fixpoint, not of the
-		// order the subtrees run in.
+		// order the subtrees run in. enter has read the inherited sleep set,
+		// so the inline child's may take over its buffer; a published
+		// sibling's sleep set is its own, since another worker may run it.
 		var (
-			inline      Step
-			inlineSleep []Step
-			haveInline  bool
-			pubs        []workItem
-			done        uint64
+			inline     Step
+			haveInline bool
+			done       uint64
 		)
 		n := len(f.steps)
 		for i := 0; i < n; i++ {
@@ -403,115 +401,101 @@ func (p *prun) process(ws *workerState, it workItem) error {
 				break
 			}
 			t := f.steps[i]
-			var childSleep []Step
-			if !p.x.FullExploration {
-				if m := f.sleep | done; m != 0 {
-					for j := 0; j < n && j < 64; j++ {
-						if m&(uint64(1)<<j) != 0 && Independent(f.steps[j], t, p.x.VisibleSyncOrder) {
-							childSleep = append(childSleep, f.steps[j])
-						}
-					}
-				}
-			}
+			covered := f.sleep | done
 			if i < 64 {
 				done |= uint64(1) << i
 			}
 			if !haveInline {
-				inline, inlineSleep, haveInline = t, childSleep, true
+				ws.sleep = p.x.appendChildSleep(ws.sleep[:0], f.steps, covered, t)
+				inline, haveInline = t, true
 				continue
 			}
-			c := f.sys.Clone()
+			c := ws.clone(f.sys)
 			if err := c.Apply(t); err != nil {
 				return fmt.Errorf("explore: applying %s on %s: %w", t, c.Name(), err)
 			}
 			ws.stats.Transitions++
-			pubs = append(pubs, workItem{sys: c, sleep: childSleep})
+			ws.pubs = append(ws.pubs, workItem{sys: c, sleep: p.x.appendChildSleep(nil, f.steps, covered, t)})
 		}
-		for i := len(pubs) - 1; i >= 0; i-- {
-			p.publish(ws.id, pubs[i])
+		for i := len(ws.pubs) - 1; i >= 0; i-- {
+			p.publish(ws.id, ws.pubs[i])
 		}
+		clear(ws.pubs)
+		ws.pubs = ws.pubs[:0]
 		if !haveInline {
 			// Defensive: enter never descends with an empty todo set, so an
 			// expansion always has an inline continuation.
+			ws.drop(f.sys)
 			return nil
 		}
 		if err := f.sys.Apply(inline); err != nil {
 			return fmt.Errorf("explore: applying %s on %s: %w", inline, f.sys.Name(), err)
 		}
 		ws.stats.Transitions++
-		s, sleep = f.sys, inlineSleep
+		s, sleep = f.sys, ws.sleep
 	}
 }
 
 // enter mirrors the serial kernel's per-state processing against the striped
 // store: path bound, step computation, reduction masks, atomic visited
-// transition, budget, terminal handling.
+// transition, budget, terminal handling. A state it does not descend into is
+// dropped onto the worker's free list, whichever worker cloned it — the item
+// carrying it was handed over under its deque's mutex, and no other worker
+// holds it — except a terminal state handed to final.
 func (p *prun) enter(ws *workerState, s TransitionSystem, sleep []Step) (pframe, bool, error) {
 	x := p.x
 	if s.Prune() {
 		ws.stats.Truncated++
+		ws.drop(s)
 		return pframe{}, false, nil
 	}
-	steps := s.Steps()
+	ws.steps = s.Steps(ws.steps[:0])
+	steps := ws.steps
 	ws.key = s.AppendKey(ws.key[:0])
-	var sleepMask, skip uint64
-	if len(steps) <= 64 && !x.FullExploration {
-		for _, sl := range sleep {
-			for i := range steps {
-				if steps[i].same(sl) {
-					sleepMask |= uint64(1) << i
-					break
-				}
-			}
-		}
-		skip = sleepMask
-		if len(steps) > 1 {
-			skip |= maskAll(len(steps)) &^ ws.red.persistentMask(s, steps)
-		}
-	}
+	sleepMask, skip := x.skipMasks(ws.red, s, steps, sleep)
 	todo, isNew, over := p.visited.visit(ws.key, maskAll(len(steps)), skip)
 	if over {
 		// The reservation count makes "budget exhausted" mean exactly what
 		// it says at any width: precisely budget distinct states committed.
 		return pframe{}, false, &StateBudgetError{System: s.Name(), States: int(p.visited.budget)}
 	}
-	if !isNew {
-		if todo == 0 {
+	if isNew {
+		ws.stats.States++
+		if len(steps) == 0 {
+			if !s.Done() {
+				if x.AllowStuck {
+					ws.drop(s)
+					return pframe{}, false, nil
+				}
+				return pframe{}, false, fmt.Errorf("explore: %s deadlocked (no enabled steps, not done)", s.Name())
+			}
+			// First visit of a terminal state: the visited reservation above
+			// is the dedup, so this is the one delivery. The callback is
+			// serialized — callers' closures are not required to be
+			// thread-safe — and suppressed after stop, so an early stop is
+			// prompt at any width.
+			stopped := false
+			p.finalMu.Lock()
+			if !p.stop.Load() {
+				ws.stats.Finals++
+				if !p.final(s) {
+					stopped = true
+				}
+			}
+			p.finalMu.Unlock()
+			if stopped {
+				p.halt()
+			}
 			return pframe{}, false, nil
 		}
-		return pframe{sys: s, steps: steps, sleep: sleepMask, todo: todo}, true, nil
 	}
-	ws.stats.States++
-	if len(steps) == 0 {
-		if !s.Done() {
-			if x.AllowStuck {
-				return pframe{}, false, nil
-			}
-			return pframe{}, false, fmt.Errorf("explore: %s deadlocked (no enabled steps, not done)", s.Name())
-		}
-		// First visit of a terminal state: the visited reservation above is
-		// the dedup, so this is the one delivery. The callback is serialized
-		// — callers' closures are not required to be thread-safe — and
-		// suppressed after stop, so an early stop is prompt at any width.
-		stopped := false
-		p.finalMu.Lock()
-		if !p.stop.Load() {
-			ws.stats.Finals++
-			if !p.final(s) {
-				stopped = true
-			}
-		}
-		p.finalMu.Unlock()
-		if stopped {
-			p.halt()
-		}
+	if todo == 0 {
+		// A revisit with nothing new to expand, or a first visit whose every
+		// enabled step is asleep or outside the persistent set: a legitimate
+		// leaf of the reduced search (the serial kernel drops it the same
+		// way).
+		ws.drop(s)
 		return pframe{}, false, nil
 	}
-	if todo == 0 && len(steps) <= 64 {
-		// Every enabled step is asleep or outside the persistent set: a
-		// legitimate leaf of the reduced search (the serial kernel pushes
-		// and immediately pops such frames).
-		return pframe{}, false, nil
-	}
-	return pframe{sys: s, steps: steps, sleep: sleepMask, todo: todo, wide: len(steps) > 64}, true, nil
+	return pframe{sys: s, steps: steps, sleep: sleepMask, todo: todo, wide: isNew && len(steps) > 64}, true, nil
 }

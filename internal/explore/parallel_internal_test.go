@@ -119,15 +119,14 @@ type fanSystem struct {
 
 func (f *fanSystem) Name() string { return "fan" }
 
-func (f *fanSystem) Clone() TransitionSystem { c := *f; return &c }
+func (f *fanSystem) Clone(TransitionSystem) TransitionSystem { c := *f; return &c }
 
-func (f *fanSystem) Steps() []Step {
+func (f *fanSystem) Steps(steps []Step) []Step {
 	if f.picked >= 0 {
-		return nil
+		return steps
 	}
-	steps := make([]Step, f.width)
-	for i := range steps {
-		steps[i] = Step{Proc: i, Info: Info{Agent: i, Opaque: true}}
+	for i := 0; i < f.width; i++ {
+		steps = append(steps, Step{Proc: i, Info: Info{Agent: i, Opaque: true}})
 	}
 	return steps
 }
@@ -180,12 +179,16 @@ type countSystem struct {
 
 func (c *countSystem) Name() string { return "count" }
 
-func (c *countSystem) Clone() TransitionSystem {
-	return &countSystem{limit: c.limit, vals: append([]int(nil), c.vals...)}
+func (c *countSystem) Clone(reuse TransitionSystem) TransitionSystem {
+	d, _ := reuse.(*countSystem)
+	if d == nil {
+		d = &countSystem{}
+	}
+	d.limit, d.vals = c.limit, append(d.vals[:0], c.vals...)
+	return d
 }
 
-func (c *countSystem) Steps() []Step {
-	var steps []Step
+func (c *countSystem) Steps(steps []Step) []Step {
 	for i, v := range c.vals {
 		if v < c.limit {
 			steps = append(steps, Step{

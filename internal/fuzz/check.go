@@ -10,7 +10,9 @@
 //     (outcomes(M, P) ⊆ outcomes(SC, P)) for DRF0 programs and recording —
 //     but not failing on — non-SC outcomes of racy ones. One SC exploration
 //     (model.Explorer.CheckSC) yields both the DRF0 verdict and the SC
-//     outcome set.
+//     outcome set. With an auto-sized explorer (negative Workers, the
+//     service's setting) the SC pass and the machine explorations run side
+//     by side, with the report and error of running them in order.
 //   - Minimize delta-debugs a violating program (drop threads, drop
 //     instructions, merge addresses), re-verifying after every step that the
 //     program still obeys DRF0 and the violation still reproduces.
@@ -26,18 +28,22 @@ package fuzz
 import (
 	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"weakorder/internal/axiomatic"
 	"weakorder/internal/core"
 	"weakorder/internal/litmus"
 	"weakorder/internal/mem"
 	"weakorder/internal/model"
+	"weakorder/internal/par"
 	"weakorder/internal/program"
 )
 
 // Checker differentially tests programs against the SC reference.
 // The zero value checks every weakly ordered machine with a trace-bounded
-// default explorer.
+// default explorer, one exploration after another; an explorer with negative
+// Workers fans them out (see Check).
 type Checker struct {
 	// Explorer configures exploration; nil uses DefaultExplorer().
 	Explorer *model.Explorer
@@ -155,61 +161,129 @@ func (r *Report) RacyNonSC() bool {
 // Check runs the full differential pipeline on one program: one SC
 // exploration decides DRF0 (Definition 3) and collects the SC outcome set,
 // then Definition-2 containment is checked for every machine under test.
+//
+// The SC pass and the machine explorations (each with its axiomatic
+// cross-validation) are the items of one par.ForEach. With a negative
+// Explorer.Workers it is auto-sized from the par budget; otherwise it is 1,
+// which runs the items inline and in order. Every item explores with the
+// checker's explorer, and ForEach registers its width, so a nested
+// exploration claims spare slots only when the fan-out leaves some. Once item
+// j fails, the items above j that have not started are skipped, and the
+// error is the lowest-index failure: the one running the items in order
+// returns. The report is assembled in factory order, so it is the same at
+// every fan-out width; States too, whenever the explorations themselves run
+// serially (see model.Explorer.Workers).
+//
+// On error the report is nil, except after a state-budget error
+// (errors.Is(err, model.ErrStateBudget)), when it holds Prog and States only:
+// the states of every exploration that ran, the one that hit the budget
+// counted at its StateBudgetError.States.
 func (c *Checker) Check(p *program.Program) (*Report, error) {
-	x := c.explorer()
-	rep := &Report{Prog: p}
-	sc, err := x.CheckSC(p, false)
-	if err != nil {
-		return nil, fmt.Errorf("fuzz: SC pass of %s: %w", p.Name, err)
+	v := &verdict{p: p, x: c.explorer(), machines: c.machines()}
+	n := 1 + len(v.machines)
+	v.outs = make([]core.OutcomeSet, n-1)
+	v.mreps = make([]MachineReport, n-1)
+	v.states = make([]int, n)
+	v.admitted = make(map[axiomatic.System]map[string]mem.Result)
+	var failed atomic.Int64 // the lowest failed item so far
+	failed.Store(int64(n))
+	width := 1
+	if v.x.Workers < 0 {
+		width = 0
 	}
-	scOut := sc.Outcomes
-	rep.DRF0 = sc.Race == nil
-	rep.SCOutcomes = len(scOut)
-	rep.States = int64(sc.Stats.States)
-	axCache := make(map[axiomatic.System]map[string]mem.Result)
-	for _, f := range c.machines() {
-		hwOut, hwStats, err := x.Outcomes(f.New(p))
+	err := par.ForEach(n, width, func(i int) error {
+		if failed.Load() < int64(i) {
+			return nil
+		}
+		err := c.checkItem(v, i)
 		if err != nil {
-			return nil, fmt.Errorf("fuzz: %s outcomes of %s: %w", f.Name, p.Name, err)
-		}
-		rep.States += int64(hwStats.States)
-		crep := core.CheckContract(p.Name, f.Name, rep.DRF0, scOut, hwOut)
-		mrep := MachineReport{
-			Machine:  f.Name,
-			Outcomes: len(hwOut),
-			Extra:    crep.Extra,
-		}
-		if c.Axiomatic {
-			if err := c.crossValidate(p, f.Name, hwOut, axCache, &mrep); err != nil {
-				return nil, err
+			var budget *model.StateBudgetError
+			if errors.As(err, &budget) {
+				v.states[i] = budget.States
+			}
+			for cur := failed.Load(); int64(i) < cur; cur = failed.Load() {
+				if failed.CompareAndSwap(cur, int64(i)) {
+					break
+				}
 			}
 		}
-		rep.Machines = append(rep.Machines, mrep)
+		return err
+	})
+	rep := &Report{Prog: p}
+	for _, st := range v.states {
+		rep.States += int64(st)
 	}
+	if err != nil {
+		if errors.Is(err, model.ErrStateBudget) {
+			return rep, err
+		}
+		return nil, err
+	}
+	rep.DRF0 = v.sc.Race == nil
+	rep.SCOutcomes = len(v.sc.Outcomes)
+	for i, f := range v.machines {
+		v.mreps[i].Extra = core.CheckContract(p.Name, f.Name, rep.DRF0, v.sc.Outcomes, v.outs[i]).Extra
+	}
+	rep.Machines = v.mreps
 	return rep, nil
+}
+
+// verdict is the state Check's fan-out shares. Each item writes only its own
+// slots, except the memoized admitted sets, which are under mu.
+type verdict struct {
+	p        *program.Program
+	x        *model.Explorer
+	machines []litmus.Factory
+	sc       *model.SCPass
+	outs     []core.OutcomeSet // per machine
+	mreps    []MachineReport   // per machine, Extra filled in at assembly
+	states   []int             // per item: the distinct states it explored
+	// admitted memoizes axiomatically admitted sets per system: several
+	// machines (e.g. the tso model and the Figure-1 bus machines) share one
+	// specification.
+	mu       sync.Mutex
+	admitted map[axiomatic.System]map[string]mem.Result
+}
+
+// checkItem runs item i of Check's fan-out: the SC pass (i = 0), or the
+// exploration and cross-validation of machine i-1.
+func (c *Checker) checkItem(v *verdict, i int) error {
+	p := v.p
+	if i == 0 {
+		sc, err := v.x.CheckSC(p, false)
+		if err != nil {
+			return fmt.Errorf("fuzz: SC pass of %s: %w", p.Name, err)
+		}
+		v.sc, v.states[0] = sc, sc.Stats.States
+		return nil
+	}
+	f := v.machines[i-1]
+	hwOut, st, err := v.x.Outcomes(f.New(p))
+	v.states[i] = st.States
+	if err != nil {
+		return fmt.Errorf("fuzz: %s outcomes of %s: %w", f.Name, p.Name, err)
+	}
+	v.outs[i-1] = hwOut
+	v.mreps[i-1] = MachineReport{Machine: f.Name, Outcomes: len(hwOut)}
+	if c.Axiomatic {
+		return v.crossValidate(f.Name, hwOut, &v.mreps[i-1])
+	}
+	return nil
 }
 
 // crossValidate compares one machine's operational outcome set against its
 // axiomatic counterpart's admitted set, recording any disagreement in mrep.
-// Admitted sets are memoized per system: several machines (e.g. the tso model
-// and the Figure-1 bus machines) share one specification.
-func (c *Checker) crossValidate(p *program.Program, machine string, hwOut core.OutcomeSet,
-	cache map[axiomatic.System]map[string]mem.Result, mrep *MachineReport) error {
+func (v *verdict) crossValidate(machine string, hwOut core.OutcomeSet, mrep *MachineReport) error {
 	sys, ok := axiomatic.CounterpartFor(machine)
 	if !ok {
 		return nil
 	}
-	adm, ok := cache[sys]
-	if !ok {
-		var err error
-		adm, err = axiomatic.Admitted(p, sys)
-		if errors.Is(err, axiomatic.ErrUnsupported) || errors.Is(err, axiomatic.ErrTooLarge) {
-			return nil // outside the fragment/budgets: skip, leaving Axiomatic empty
-		}
-		if err != nil {
-			return fmt.Errorf("fuzz: axiomatic %s on %s: %w", sys, p.Name, err)
-		}
-		cache[sys] = adm
+	adm, err := v.admittedSet(sys)
+	if errors.Is(err, axiomatic.ErrUnsupported) || errors.Is(err, axiomatic.ErrTooLarge) {
+		return nil // outside the fragment/budgets: skip, leaving Axiomatic empty
+	}
+	if err != nil {
+		return fmt.Errorf("fuzz: axiomatic %s on %s: %w", sys, v.p.Name, err)
 	}
 	mrep.Axiomatic = sys.String()
 	for k, r := range hwOut {
@@ -223,6 +297,20 @@ func (c *Checker) crossValidate(p *program.Program, machine string, hwOut core.O
 		}
 	}
 	return nil
+}
+
+// admittedSet returns the memoized admitted set of sys.
+func (v *verdict) admittedSet(sys axiomatic.System) (map[string]mem.Result, error) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if adm, ok := v.admitted[sys]; ok {
+		return adm, nil
+	}
+	adm, err := axiomatic.Admitted(v.p, sys)
+	if err == nil {
+		v.admitted[sys] = adm
+	}
+	return adm, err
 }
 
 // violates reports whether the program (a) obeys DRF0 and (b) still produces

@@ -224,8 +224,11 @@ func (r Result) Equal(o Result) bool {
 
 // Key returns a canonical string for the result, usable as a map key when
 // collecting the set of distinct results of a program: the reads ordered by
-// (processor, index) as "P<proc>.<index>=<value>;", a '|', then the final
-// memory ordered by address as "x<addr>=<value>;".
+// (processor, index), each rendered by AppendKeyRead, then AppendKeyMemory's
+// separator, then the final memory ordered by address, each rendered by
+// AppendKeyFinal. The operational machines render the same bytes straight
+// from their state through the same three functions, so the format lives
+// there alone.
 func (r Result) Key() string {
 	type rk struct {
 		k ReadKey
@@ -252,21 +255,36 @@ func (r Result) Key() string {
 	slices.SortFunc(fs, func(x, y fk) int { return cmp.Compare(x.a, y.a) })
 	b := make([]byte, 0, 12*len(rs)+8*len(fs)+1)
 	for _, x := range rs {
-		b = append(b, 'P')
-		b = strconv.AppendInt(b, int64(x.k.Proc), 10)
-		b = append(b, '.')
-		b = strconv.AppendInt(b, int64(x.k.Index), 10)
-		b = append(b, '=')
-		b = strconv.AppendInt(b, int64(x.v), 10)
-		b = append(b, ';')
+		b = AppendKeyRead(b, x.k, x.v)
 	}
-	b = append(b, '|')
+	b = AppendKeyMemory(b)
 	for _, x := range fs {
-		b = append(b, 'x')
-		b = strconv.AppendUint(b, uint64(x.a), 10)
-		b = append(b, '=')
-		b = strconv.AppendInt(b, int64(x.v), 10)
-		b = append(b, ';')
+		b = AppendKeyFinal(b, x.a, x.v)
 	}
 	return string(b)
+}
+
+// AppendKeyRead appends one read of a result key: "P<proc>.<index>=<value>;".
+func AppendKeyRead(b []byte, k ReadKey, v Value) []byte {
+	b = append(b, 'P')
+	b = strconv.AppendInt(b, int64(k.Proc), 10)
+	b = append(b, '.')
+	b = strconv.AppendInt(b, int64(k.Index), 10)
+	b = append(b, '=')
+	b = strconv.AppendInt(b, int64(v), 10)
+	return append(b, ';')
+}
+
+// AppendKeyMemory appends the separator between a result key's reads and
+// its final memory.
+func AppendKeyMemory(b []byte) []byte { return append(b, '|') }
+
+// AppendKeyFinal appends one final-memory location of a result key:
+// "x<addr>=<value>;".
+func AppendKeyFinal(b []byte, a Addr, v Value) []byte {
+	b = append(b, 'x')
+	b = strconv.AppendUint(b, uint64(a), 10)
+	b = append(b, '=')
+	b = strconv.AppendInt(b, int64(v), 10)
+	return append(b, ';')
 }

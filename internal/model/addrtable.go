@@ -83,37 +83,44 @@ func (t *addrTable[V]) setAt(i int, v V) {
 	}
 }
 
-// clone returns an independent copy. The values themselves are copied by
-// assignment, so a table of slices shares their backing arrays.
+// copyInto makes d an independent copy of t, writing into d's existing
+// slices. The values themselves are copied by assignment, so a table of
+// slices shares their backing arrays.
+func (t *addrTable[V]) copyInto(d *addrTable[V]) {
+	d.addrs = t.addrs
+	d.dense = append(d.dense[:0], t.dense...)
+	d.extra = append(d.extra[:0], t.extra...)
+}
+
+// clone returns an independent copy.
 func (t *addrTable[V]) clone() addrTable[V] {
-	c := addrTable[V]{addrs: t.addrs, dense: append([]V(nil), t.dense...)}
-	if len(t.extra) > 0 {
-		c.extra = append([]addrEntry[V](nil), t.extra...)
-	}
+	var c addrTable[V]
+	t.copyInto(&c)
 	return c
 }
 
-// cloneTables copies a per-processor set of tables with their dense slots in
-// one allocation. Each dense slice is capped at its length, and tables never
-// append to it, so the clones cannot write into each other.
-func cloneTables[V any](ts []addrTable[V]) []addrTable[V] {
-	out := make([]addrTable[V], len(ts))
-	n := 0
-	for i := range ts {
-		n += len(ts[i].dense)
-	}
-	flat := make([]V, n)
-	for i := range ts {
-		t := &ts[i]
-		d := flat[:len(t.dense):len(t.dense)]
-		flat = flat[len(t.dense):]
-		copy(d, t.dense)
-		out[i] = addrTable[V]{addrs: t.addrs, dense: d}
-		if len(t.extra) > 0 {
-			out[i].extra = append([]addrEntry[V](nil), t.extra...)
+// copyTables copies a per-processor set of tables into dst's tables and
+// returns them. A dst that does not hold one table per processor is replaced
+// by fresh tables whose dense slots share one allocation. Each dense slice
+// is capped at its length, and tables never append to it, so the tables of a
+// set cannot write into each other.
+func copyTables[V any](dst, src []addrTable[V]) []addrTable[V] {
+	if len(dst) != len(src) {
+		dst = make([]addrTable[V], len(src))
+		n := 0
+		for i := range src {
+			n += len(src[i].dense)
+		}
+		flat := make([]V, n)
+		for i := range src {
+			k := len(src[i].dense)
+			dst[i].dense, flat = flat[:0:k], flat[k:]
 		}
 	}
-	return out
+	for i := range src {
+		src[i].copyInto(&dst[i])
+	}
+	return dst
 }
 
 // appendMem canonically encodes a memory table: the static locations' values

@@ -42,12 +42,13 @@ thread:
 // snapshot is everything TestCloneIndependenceComputedAddrs compares on the
 // side of a clone pair that did not move.
 type snapshot struct {
-	result, execution, trace, outcome string
-	traceLen                          int
+	state, result, execution, trace, outcome string
+	traceLen                                 int
 }
 
 func snap(m Machine) snapshot {
 	return snapshot{
+		state:     Key(m, KeyState),
 		result:    Key(m, KeyResult),
 		execution: Key(m, KeyExecution),
 		trace:     m.Trace().String(),
@@ -56,17 +57,60 @@ func snap(m Machine) snapshot {
 	}
 }
 
+// largestState returns the reachable state of root whose execution key is
+// longest: the one holding the most machine contents — buffered writes,
+// pending propagations, in-flight messages, overflow slots, RMO history
+// versions — to recycle as the destination of copies.
+func largestState(t *testing.T, root Machine) Machine {
+	t.Helper()
+	best, bestLen := root, 0
+	seen := map[string]bool{}
+	stack := []Machine{root}
+	for len(stack) > 0 {
+		m := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		ts := m.Transitions(nil)
+		k := Key(m, KeyExecution)
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		if len(k) > bestLen {
+			best, bestLen = m, len(k)
+		}
+		for _, tr := range ts {
+			c := m.Clone()
+			if err := c.Apply(tr); err != nil {
+				t.Fatalf("%s: %s: %v", m.Name(), tr, err)
+			}
+			stack = append(stack, c)
+		}
+	}
+	return best
+}
+
 // TestCloneIndependenceComputedAddrs walks every reachable state of every
 // machine, the broken ones included, on a program with computed addresses.
 // At each state it takes a clone pair and moves each side by a different
 // enabled step, and checks that neither step changed the other side or the
 // state they were cloned from: clones share the execution history and, on
 // RMO, the value histories, so a write into shared structure would show here.
+// Each pair is taken twice: by Clone, and by CloneInto a dead copy of the
+// machine's largest reachable state, which must key-equal the fresh clone at
+// every key mode before either side moves.
 func TestCloneIndependenceComputedAddrs(t *testing.T) {
 	p := computedAddrs()
 	for _, f := range commuteFactories() {
 		root := f.mk(p)
 		name := f.name
+		largest := largestState(t, f.mk(p))
+		copies := []struct {
+			how    string
+			copyOf func(Machine) Machine
+		}{
+			{"Clone", func(m Machine) Machine { return m.Clone() }},
+			{"CloneInto", func(m Machine) Machine { return m.CloneInto(largest.Clone()) }},
+		}
 		seen := map[string]bool{}
 		stack := []Machine{root}
 		states, finals := 0, 0
@@ -76,7 +120,7 @@ func TestCloneIndependenceComputedAddrs(t *testing.T) {
 			// Transitions may normalize lazy state (RMO creates the
 			// history of an overflow location a read is about to reach),
 			// so list them before keying.
-			ts := m.Transitions()
+			ts := m.Transitions(nil)
 			k := Key(m, KeyResult)
 			if seen[k] {
 				continue
@@ -102,25 +146,33 @@ func TestCloneIndependenceComputedAddrs(t *testing.T) {
 			before := snap(m)
 			for i := range ts {
 				j := (i + 1) % len(ts)
-				a := m.Clone()
-				b := a.Clone()
-				if err := b.Apply(ts[i]); err != nil {
-					t.Fatalf("%s: %s: %v", name, ts[i], err)
+				for _, c := range copies {
+					how := c.how
+					a := m.Clone()
+					b := c.copyOf(a)
+					if got := snap(b); got != before {
+						t.Fatalf("%s: %s of a state differs from it:\nwant %+v\ngot  %+v", name, how, before, got)
+					}
+					if err := b.Apply(ts[i]); err != nil {
+						t.Fatalf("%s: %s: %v", name, ts[i], err)
+					}
+					if got := snap(a); got != before {
+						t.Fatalf("%s: applying %s to a %s changed the original:\nbefore %+v\nafter  %+v", name, ts[i], how, before, got)
+					}
+					movedB := snap(b)
+					if err := a.Apply(ts[j]); err != nil {
+						t.Fatalf("%s: %s: %v", name, ts[j], err)
+					}
+					if got := snap(b); got != movedB {
+						t.Fatalf("%s: applying %s to the original changed a %s:\nbefore %+v\nafter  %+v", name, ts[j], how, movedB, got)
+					}
+					if got := snap(m); got != before {
+						t.Fatalf("%s: stepping two copies (%s) changed the state they came from", name, how)
+					}
+					if how == "Clone" {
+						stack = append(stack, b)
+					}
 				}
-				if got := snap(a); got != before {
-					t.Fatalf("%s: applying %s to a clone changed the original:\nbefore %+v\nafter  %+v", name, ts[i], before, got)
-				}
-				movedB := snap(b)
-				if err := a.Apply(ts[j]); err != nil {
-					t.Fatalf("%s: %s: %v", name, ts[j], err)
-				}
-				if got := snap(b); got != movedB {
-					t.Fatalf("%s: applying %s to the original changed a clone:\nbefore %+v\nafter  %+v", name, ts[j], movedB, got)
-				}
-				if got := snap(m); got != before {
-					t.Fatalf("%s: stepping two clones changed the state they came from", name)
-				}
-				stack = append(stack, b)
 			}
 		}
 		if finals == 0 {
@@ -136,7 +188,7 @@ func TestCloneIndependenceComputedAddrs(t *testing.T) {
 func stepQuiescent(t *testing.T, m Machine, n int) {
 	t.Helper()
 	for {
-		ts := m.Transitions()
+		ts := m.Transitions(nil)
 		if len(ts) == 0 {
 			t.Fatalf("%s: ran out of steps at %d accesses", m.Name(), m.TraceLen())
 		}

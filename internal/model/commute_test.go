@@ -103,7 +103,7 @@ func forEachReachable(t *testing.T, m Machine, limit int, visit func(m Machine))
 		cur := queue[0]
 		queue = queue[1:]
 		visit(cur)
-		for _, tr := range cur.Transitions() {
+		for _, tr := range cur.Transitions(nil) {
 			next := cur.Clone()
 			if err := next.Apply(tr); err != nil {
 				t.Fatalf("%s: apply %v: %v", cur.Name(), tr, err)
@@ -126,7 +126,7 @@ func applyPair(t *testing.T, m Machine, first, second Transition, mode KeyMode) 
 		t.Fatalf("%s: apply %v: %v", m.Name(), first, err)
 	}
 	found := false
-	for _, tr := range c.Transitions() {
+	for _, tr := range c.Transitions(nil) {
 		if tr == second {
 			found = true
 			break
@@ -142,7 +142,7 @@ func applyPair(t *testing.T, m Machine, first, second Transition, mode KeyMode) 
 	// when Transitions was last computed rather than on machine state. One
 	// more Transitions call brings both application orders to the same
 	// lifecycle point, so the keys compare real state only.
-	c.Transitions()
+	c.Transitions(nil)
 	return Key(c, mode)
 }
 
@@ -161,7 +161,7 @@ func TestFootprintIndependenceCommutes(t *testing.T) {
 			pairs := 0
 			for _, p := range commutePrograms() {
 				forEachReachable(t, f.mk(p), stateLimit, func(m Machine) {
-					trs := m.Transitions()
+					trs := m.Transitions(nil)
 					steps := make([]explore.Step, len(trs))
 					for i, tr := range trs {
 						steps[i] = explore.Step{Info: m.StepInfo(tr)}
@@ -205,7 +205,7 @@ func TestFootprintsCoverEnabledSteps(t *testing.T) {
 			for _, p := range commutePrograms() {
 				forEachReachable(t, f.mk(p), stateLimit, func(m Machine) {
 					fps := m.Footprints(nil)
-					for _, tr := range m.Transitions() {
+					for _, tr := range m.Transitions(nil) {
 						info := m.StepInfo(tr)
 						if info.Agent < 0 || info.Agent >= len(fps) {
 							t.Fatalf("%s on %s: step %v names agent %d outside the %d declared footprints",

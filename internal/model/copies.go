@@ -42,6 +42,8 @@ type copies struct {
 	// generating unboundedly long pending lists, which would make the
 	// explored state space infinite.
 	window int
+	// masks is propMasks' scratch: storage, not state, so never copied.
+	masks []propMask
 }
 
 // DefaultWindow is the per-processor bound on outstanding (committed but not
@@ -63,16 +65,20 @@ func (c *copies) canCommit(p int) bool {
 	return c.outstanding[p]+(c.nproc-1) <= c.window*(c.nproc-1)
 }
 
-func (c *copies) clone() *copies {
-	return &copies{
-		nproc:       c.nproc,
-		data:        cloneTables(c.data),
-		stamp:       cloneTables(c.stamp),
-		pending:     append([]prop(nil), c.pending...),
-		nextSeq:     c.nextSeq,
-		outstanding: append([]int(nil), c.outstanding...),
-		window:      c.window,
+// copyInto makes d (allocated when nil) an independent copy of c, writing
+// into d's existing slices, and returns it.
+func (c *copies) copyInto(d *copies) *copies {
+	if d == nil {
+		d = new(copies)
 	}
+	d.nproc = c.nproc
+	d.data = copyTables(d.data, c.data)
+	d.stamp = copyTables(d.stamp, c.stamp)
+	d.pending = append(d.pending[:0], c.pending...)
+	d.nextSeq = c.nextSeq
+	d.outstanding = append(d.outstanding[:0], c.outstanding...)
+	d.window = c.window
+	return d
 }
 
 // read returns processor p's view of addr.
@@ -222,9 +228,14 @@ type propMask struct {
 }
 
 // propMasks returns, per source processor, the addresses of its undelivered
-// propagations (wild when an address has no dense bit).
+// propagations (wild when an address has no dense bit). The result is
+// scratch, valid until the next call.
 func (c *copies) propMasks(bitOf func(mem.Addr) (uint64, bool)) []propMask {
-	masks := make([]propMask, c.nproc)
+	if cap(c.masks) < c.nproc {
+		c.masks = make([]propMask, c.nproc)
+	}
+	masks := c.masks[:c.nproc]
+	clear(masks)
 	for _, m := range c.pending {
 		if bit, ok := bitOf(m.addr); ok {
 			masks[m.src].bits |= bit

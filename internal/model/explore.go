@@ -46,7 +46,9 @@ type Explorer struct {
 	// 0 or 1 serial, n > 1 that many workers sharing one search, negative
 	// auto-sized from the par budget. Any width produces the same outcome
 	// set; visit order and reduced-mode Stats may vary above width 1. See
-	// explore.Explorer.Workers.
+	// explore.Explorer.Workers. A fuzz.Checker given a negative width also
+	// runs a verdict's explorations side by side, each auto-sizing from the
+	// slots that fan-out leaves (fuzz.Checker.Check).
 	Workers int
 }
 
@@ -56,6 +58,10 @@ const DefaultMaxStates = explore.DefaultMaxStates
 // ErrStateBudget reports that exploration exceeded MaxStates. Visit returns
 // it wrapped with the machine name; check with errors.Is.
 var ErrStateBudget = explore.ErrStateBudget
+
+// StateBudgetError is the concrete budget error, carrying the distinct states
+// the exploration visited before it stopped; extract it with errors.As.
+type StateBudgetError = explore.StateBudgetError
 
 // Stats summarizes one exploration.
 type Stats = explore.Stats
@@ -74,26 +80,36 @@ type machineSystem struct {
 	m           Machine
 	mode        KeyMode
 	maxTraceOps int
-	race        *raceProbe // set on a CheckSC pass; shared by every clone
+	race        *raceProbe   // set on a CheckSC pass; shared by every clone
+	trans       []Transition // Transitions scratch, recycled with the state
 }
 
 func (s *machineSystem) Name() string { return s.m.Name() }
 
-func (s *machineSystem) Clone() explore.TransitionSystem {
-	return &machineSystem{m: s.m.Clone(), mode: s.mode, maxTraceOps: s.maxTraceOps, race: s.race}
+// Clone implements explore.TransitionSystem: the machine is copied into the
+// recycled state's machine, and the recycled scratch is kept.
+func (s *machineSystem) Clone(reuse explore.TransitionSystem) explore.TransitionSystem {
+	c, _ := reuse.(*machineSystem)
+	if c == nil {
+		c = &machineSystem{}
+	}
+	c.m = s.m.CloneInto(c.m)
+	c.mode, c.maxTraceOps, c.race = s.mode, s.maxTraceOps, s.race
+	return c
 }
 
-func (s *machineSystem) Steps() []explore.Step {
-	ts := s.m.Transitions()
-	steps := make([]explore.Step, len(ts))
-	for i, t := range ts {
-		steps[i] = explore.Step{Kind: uint8(t.Kind), Proc: t.Proc, Aux: int64(t.Aux), Info: s.m.StepInfo(t)}
+func (s *machineSystem) Steps(buf []explore.Step) []explore.Step {
+	s.trans = s.m.Transitions(s.trans[:0])
+	n := len(buf)
+	for _, t := range s.trans {
+		buf = append(buf, explore.Step{Kind: uint8(t.Kind), Proc: t.Proc, Aux: int64(t.Aux), Info: s.m.StepInfo(t)})
 	}
+	steps := buf[n:]
 	slices.SortStableFunc(steps, compareSteps)
 	if s.race != nil {
 		s.race.observe(s.m, steps)
 	}
-	return steps
+	return buf
 }
 
 // compareSteps orders steps by (Kind, Proc, Addr).
@@ -160,11 +176,22 @@ func (x *Explorer) Outcomes(m Machine) (core.OutcomeSet, Stats, error) {
 		sub.Mode = KeyResult
 	}
 	out := make(core.OutcomeSet)
-	st, err := sub.Visit(m, func(f Machine) bool {
-		out.Add(f.Result())
-		return true
-	})
+	st, err := sub.Visit(m, collect(out))
 	return out, st, err
+}
+
+// collect returns a Visit callback adding each terminal machine's Result to
+// out. It renders the Result's key from the machine first and builds the
+// Result only when the key is new to the set.
+func collect(out core.OutcomeSet) func(Machine) bool {
+	var key []byte
+	return func(f Machine) bool {
+		key = f.AppendResultKey(key[:0])
+		if _, ok := out[string(key)]; !ok {
+			out[string(key)] = f.Result()
+		}
+		return true
+	}
 }
 
 // FinalStates collects the distinct final states (registers + memory),

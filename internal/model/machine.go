@@ -100,11 +100,16 @@ type Machine interface {
 	// Name identifies the model in reports and tables.
 	Name() string
 	// Clone returns an independent copy. Its cost does not grow with the
-	// recorded history, which the copy shares (see histNode).
+	// recorded history, which the copy shares (see histNode). It is
+	// CloneInto(nil).
 	Clone() Machine
-	// Transitions lists the currently enabled transitions, deterministically
-	// ordered.
-	Transitions() []Transition
+	// CloneInto returns an independent copy written into dst's storage. dst
+	// is nil or a machine that nothing references any longer; the copy may
+	// overwrite everything dst owns. A dst of another kind is not reused.
+	CloneInto(dst Machine) Machine
+	// Transitions appends the currently enabled transitions to buf,
+	// deterministically ordered, and returns it.
+	Transitions(buf []Transition) []Transition
 	// Apply performs one enabled transition.
 	Apply(t Transition) error
 	// Done reports whether all threads halted and all internal buffers and
@@ -120,6 +125,10 @@ type Machine interface {
 	Final() *program.FinalState
 	// Result returns the paper's Result: all read values plus final memory.
 	Result() mem.Result
+	// AppendResultKey appends Result().Key() to b without building the
+	// Result: the outcome searches key every terminal state and build the
+	// Result only for a key new to their set.
+	AppendResultKey(b []byte) []byte
 	// Trace returns the recorded execution so far: accesses in completion
 	// (commit) order. For the SC machine this is an idealized execution.
 	// Every call builds a fresh copy from the machine's shared history, so
@@ -174,12 +183,13 @@ func newBase(name string, p *program.Program) base {
 	return b
 }
 
-// cloneBase copies the per-thread state; the history nodes are shared.
-func (b *base) cloneBase() base {
-	c := *b
-	c.threads = append([]program.Thread(nil), b.threads...)
-	c.lastRead = append([]*histNode(nil), b.lastRead...)
-	return c
+// copyBase copies the per-thread state into d, reusing d's slices; the
+// history nodes and everything static are shared.
+func (b *base) copyBase(d *base) {
+	threads, lastRead := d.threads, d.lastRead
+	*d = *b
+	d.threads = append(threads[:0], b.threads...)
+	d.lastRead = append(lastRead[:0], b.lastRead...)
 }
 
 // initialMemory returns the program's initial memory: every location of the
@@ -245,6 +255,38 @@ func (b *base) finalState(memory *addrTable[mem.Value]) *program.FinalState {
 		fs.Mem[a] = v
 	}
 	return fs
+}
+
+// appendResultKey appends result(memory).Key() to key straight from the
+// read chains and the memory table. A processor's reads complete in program
+// order on every machine — each binds at issue, or blocks its issuer until
+// it does — so each read chain, walked backwards, lists its reads in index
+// order. The table lists its static slots, then its overflow, each in
+// address order; the key lists their merge.
+func (b *base) appendResultKey(key []byte, memory *addrTable[mem.Value]) []byte {
+	var chain [64]*histNode
+	for p, rd := range b.lastRead {
+		nodes := chain[:0]
+		for ; rd != nil; rd = rd.prevRead {
+			nodes = append(nodes, rd)
+		}
+		for i := len(nodes) - 1; i >= 0; i-- {
+			key = mem.AppendKeyRead(key, mem.ReadKey{Proc: mem.ProcID(p), Index: nodes[i].opIndex}, nodes[i].acc.Value)
+		}
+	}
+	key = mem.AppendKeyMemory(key)
+	extra := memory.extra
+	for i, a := range memory.addrs {
+		for len(extra) > 0 && extra[0].addr < a {
+			key = mem.AppendKeyFinal(key, extra[0].addr, extra[0].v)
+			extra = extra[1:]
+		}
+		key = mem.AppendKeyFinal(key, a, memory.dense[i])
+	}
+	for _, e := range extra {
+		key = mem.AppendKeyFinal(key, e.addr, e.v)
+	}
+	return key
 }
 
 // result assembles the paper's Result from the read history and a memory

@@ -242,7 +242,7 @@ func TestWindowBoundStallsWriters(t *testing.T) {
 	// Apply exec transitions greedily while available, never delivering.
 	writes := 0
 	for {
-		ts := mach.Transitions()
+		ts := mach.Transitions(nil)
 		var exec *Transition
 		for i := range ts {
 			if ts[i].Kind == TExec && ts[i].Proc == 0 {
@@ -288,13 +288,13 @@ thread:
 	apply(Transition{Kind: TExec, Proc: 0})
 	apply(Transition{Kind: TExec, Proc: 0})
 	// Now P1's sync must be absent from the enabled set.
-	for _, tr := range m.Transitions() {
+	for _, tr := range m.Transitions(nil) {
 		if tr.Kind == TExec && tr.Proc == 1 {
 			t.Fatal("P1's sync enabled despite P0's reservation")
 		}
 	}
 	// Deliver P0's propagation; P1 becomes enabled.
-	ts := m.Transitions()
+	ts := m.Transitions(nil)
 	delivered := false
 	for _, tr := range ts {
 		if tr.Kind == TDeliver {
@@ -307,7 +307,7 @@ thread:
 		t.Fatal("no delivery available")
 	}
 	found := false
-	for _, tr := range m.Transitions() {
+	for _, tr := range m.Transitions(nil) {
 		if tr.Kind == TExec && tr.Proc == 1 {
 			found = true
 		}
@@ -319,7 +319,7 @@ thread:
 
 func TestCloneIndependence(t *testing.T) {
 	m := NewWODef2(sb())
-	ts := m.Transitions()
+	ts := m.Transitions(nil)
 	if len(ts) == 0 {
 		t.Fatal("no transitions")
 	}

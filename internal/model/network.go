@@ -50,14 +50,20 @@ func NewNetwork(p *program.Program) *Network {
 }
 
 // Clone implements Machine.
-func (m *Network) Clone() Machine {
-	return &Network{
-		base:     m.cloneBase(),
-		memory:   m.memory.clone(),
-		inflight: append([]netMsg(nil), m.inflight...),
-		nextSeq:  m.nextSeq,
-		waiting:  append([]bool(nil), m.waiting...),
+func (m *Network) Clone() Machine { return m.CloneInto(nil) }
+
+// CloneInto implements Machine.
+func (m *Network) CloneInto(dst Machine) Machine {
+	d, _ := dst.(*Network)
+	if d == nil {
+		d = new(Network)
 	}
+	m.copyBase(&d.base)
+	m.memory.copyInto(&d.memory)
+	d.inflight = append(d.inflight[:0], m.inflight...)
+	d.nextSeq = m.nextSeq
+	d.waiting = append(d.waiting[:0], m.waiting...)
+	return d
 }
 
 // deliverable reports whether inflight[i] is the oldest in-flight message of
@@ -84,8 +90,7 @@ func (m *Network) hasInflight(p int) bool {
 }
 
 // Transitions implements Machine.
-func (m *Network) Transitions() []Transition {
-	ts := make([]Transition, 0, len(m.inflight)+len(m.threads))
+func (m *Network) Transitions(ts []Transition) []Transition {
 	for i := range m.inflight {
 		if m.deliverable(i) {
 			ts = append(ts, Transition{Kind: TDeliver, Proc: m.inflight[i].proc, Aux: m.inflight[i].seq})
@@ -288,3 +293,6 @@ func (m *Network) Final() *program.FinalState { return m.finalState(&m.memory) }
 
 // Result implements Machine.
 func (m *Network) Result() mem.Result { return m.result(&m.memory) }
+
+// AppendResultKey implements Machine.
+func (m *Network) AppendResultKey(b []byte) []byte { return m.appendResultKey(b, &m.memory) }

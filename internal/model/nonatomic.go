@@ -28,13 +28,21 @@ func NewNonAtomic(p *program.Program) *NonAtomic {
 }
 
 // Clone implements Machine.
-func (m *NonAtomic) Clone() Machine {
-	return &NonAtomic{base: m.cloneBase(), c: m.c.clone()}
+func (m *NonAtomic) Clone() Machine { return m.CloneInto(nil) }
+
+// CloneInto implements Machine.
+func (m *NonAtomic) CloneInto(dst Machine) Machine {
+	d, _ := dst.(*NonAtomic)
+	if d == nil {
+		d = new(NonAtomic)
+	}
+	m.copyBase(&d.base)
+	d.c = m.c.copyInto(d.c)
+	return d
 }
 
 // Transitions implements Machine.
-func (m *NonAtomic) Transitions() []Transition {
-	ts := make([]Transition, 0, len(m.c.pending)+len(m.threads))
+func (m *NonAtomic) Transitions(ts []Transition) []Transition {
 	for i := range m.c.pending {
 		if m.c.deliverable(i) {
 			ts = append(ts, Transition{Kind: TDeliver, Proc: m.c.pending[i].dst, Aux: int(m.c.pending[i].seq)})
@@ -121,3 +129,6 @@ func (m *NonAtomic) Final() *program.FinalState { return m.finalState(&m.c.data[
 
 // Result implements Machine.
 func (m *NonAtomic) Result() mem.Result { return m.result(&m.c.data[0]) }
+
+// AppendResultKey implements Machine.
+func (m *NonAtomic) AppendResultKey(b []byte) []byte { return m.appendResultKey(b, &m.c.data[0]) }

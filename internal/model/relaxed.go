@@ -102,18 +102,22 @@ func newRelaxed(p *program.Program, mode relaxMode, name string) *Relaxed {
 }
 
 // Clone implements Machine.
-func (m *Relaxed) Clone() Machine {
-	c := &Relaxed{
-		base:    m.cloneBase(),
-		mode:    m.mode,
-		memory:  m.memory.clone(),
-		buffers: cloneBuffers(m.buffers),
+func (m *Relaxed) Clone() Machine { return m.CloneInto(nil) }
+
+// CloneInto implements Machine. The RMO histories' arrays are shared, never
+// written; their table and the cursors are copied.
+func (m *Relaxed) CloneInto(dst Machine) Machine {
+	d, _ := dst.(*Relaxed)
+	if d == nil {
+		d = new(Relaxed)
 	}
-	if m.mode == relaxRMO {
-		c.hist = m.hist.clone()
-		c.seen = cloneTables(m.seen)
-	}
-	return c
+	m.copyBase(&d.base)
+	d.mode = m.mode
+	m.memory.copyInto(&d.memory)
+	d.buffers = copyBuffers(d.buffers, m.buffers)
+	m.hist.copyInto(&d.hist)
+	d.seen = copyTables(d.seen, m.seen)
+	return d
 }
 
 // ensureHist returns the history of a, creating it for an overflow location
@@ -200,8 +204,7 @@ func (m *Relaxed) forwardFrom(p int, a mem.Addr) (mem.Value, bool) {
 // offset from the reader's cursor of the history version they observe; all
 // other transitions use Aux 0 (TSO drains) or the drained address (PSO/RMO
 // drains), so key-equal states enumerate identical step lists.
-func (m *Relaxed) Transitions() []Transition {
-	ts := make([]Transition, 0, 2*len(m.threads))
+func (m *Relaxed) Transitions(ts []Transition) []Transition {
 	for p := range m.threads {
 		switch m.mode {
 		case relaxTSO:
@@ -444,3 +447,6 @@ func (m *Relaxed) Final() *program.FinalState { return m.finalState(&m.memory) }
 
 // Result implements Machine.
 func (m *Relaxed) Result() mem.Result { return m.result(&m.memory) }
+
+// AppendResultKey implements Machine.
+func (m *Relaxed) AppendResultKey(b []byte) []byte { return m.appendResultKey(b, &m.memory) }

@@ -147,7 +147,7 @@ func TestRelaxedCloneIndependence(t *testing.T) {
 		func(q *program.Program) Machine { return NewRMO(q) },
 	} {
 		m := mk(sb())
-		ts := m.Transitions()
+		ts := m.Transitions(nil)
 		if len(ts) == 0 {
 			t.Fatalf("%s: no transitions", m.Name())
 		}

@@ -25,14 +25,22 @@ func NewSC(p *program.Program) *SC {
 }
 
 // Clone implements Machine.
-func (m *SC) Clone() Machine {
-	return &SC{base: m.cloneBase(), memory: m.memory.clone()}
+func (m *SC) Clone() Machine { return m.CloneInto(nil) }
+
+// CloneInto implements Machine.
+func (m *SC) CloneInto(dst Machine) Machine {
+	d, _ := dst.(*SC)
+	if d == nil {
+		d = new(SC)
+	}
+	m.copyBase(&d.base)
+	m.memory.copyInto(&d.memory)
+	return d
 }
 
 // Transitions implements Machine: any thread with a pending memory operation
 // may execute it atomically.
-func (m *SC) Transitions() []Transition {
-	ts := make([]Transition, 0, len(m.threads))
+func (m *SC) Transitions(ts []Transition) []Transition {
 	for p := range m.threads {
 		if _, ok, err := m.pending(p); err == nil && ok {
 			ts = append(ts, Transition{Kind: TExec, Proc: p})
@@ -89,3 +97,6 @@ func (m *SC) Final() *program.FinalState { return m.finalState(&m.memory) }
 
 // Result implements Machine.
 func (m *SC) Result() mem.Result { return m.result(&m.memory) }
+
+// AppendResultKey implements Machine.
+func (m *SC) AppendResultKey(b []byte) []byte { return m.appendResultKey(b, &m.memory) }

@@ -43,10 +43,7 @@ func (x *Explorer) CheckSC(p *program.Program, stopAtRace bool) (*SCPass, error)
 	}
 	probe := &raceProbe{stop: stopAtRace}
 	out := make(core.OutcomeSet)
-	st, err := sub.visit(NewSC(p), probe, func(f Machine) bool {
-		out.Add(f.Result())
-		return true
-	})
+	st, err := sub.visit(NewSC(p), probe, collect(out))
 	if err != nil {
 		return nil, err
 	}

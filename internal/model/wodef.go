@@ -89,8 +89,19 @@ func newWO(p *program.Program, mode woMode, name string) *WeakOrdered {
 }
 
 // Clone implements Machine.
-func (m *WeakOrdered) Clone() Machine {
-	return &WeakOrdered{base: m.cloneBase(), c: m.c.clone(), mode: m.mode, resv: m.resv.clone()}
+func (m *WeakOrdered) Clone() Machine { return m.CloneInto(nil) }
+
+// CloneInto implements Machine.
+func (m *WeakOrdered) CloneInto(dst Machine) Machine {
+	d, _ := dst.(*WeakOrdered)
+	if d == nil {
+		d = new(WeakOrdered)
+	}
+	m.copyBase(&d.base)
+	d.c = m.c.copyInto(d.c)
+	d.mode = m.mode
+	m.resv.copyInto(&d.resv)
+	return d
 }
 
 // reserver returns the processor effectively holding a reservation on a, or
@@ -124,8 +135,7 @@ func (m *WeakOrdered) syncEnabled(p int, req program.Request) bool {
 }
 
 // Transitions implements Machine.
-func (m *WeakOrdered) Transitions() []Transition {
-	ts := make([]Transition, 0, len(m.c.pending)+len(m.threads))
+func (m *WeakOrdered) Transitions(ts []Transition) []Transition {
 	for i := range m.c.pending {
 		if m.c.deliverable(i) {
 			ts = append(ts, Transition{Kind: TDeliver, Proc: m.c.pending[i].dst, Aux: int(m.c.pending[i].seq)})
@@ -310,3 +320,6 @@ func (m *WeakOrdered) Final() *program.FinalState { return m.finalState(&m.c.dat
 
 // Result implements Machine.
 func (m *WeakOrdered) Result() mem.Result { return m.result(&m.c.data[0]) }
+
+// AppendResultKey implements Machine.
+func (m *WeakOrdered) AppendResultKey(b []byte) []byte { return m.appendResultKey(b, &m.c.data[0]) }

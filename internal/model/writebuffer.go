@@ -21,25 +21,27 @@ type wbEntry struct {
 	opIndex int
 }
 
-// cloneBuffers copies per-processor write buffers into one allocation. Each
-// copy is capped at its length, so a clone's append reallocates instead of
-// writing into its neighbour.
-func cloneBuffers(bs [][]wbEntry) [][]wbEntry {
-	out := make([][]wbEntry, len(bs))
-	n := 0
-	for _, b := range bs {
-		n += len(b)
+// copyBuffers copies per-processor write buffers into dst's buffers and
+// returns them. A dst that does not hold one buffer per processor is
+// replaced by fresh buffers sharing one allocation. Each fresh buffer is
+// capped at its length, so an append reallocates instead of writing into its
+// neighbour.
+func copyBuffers(dst, src [][]wbEntry) [][]wbEntry {
+	if len(dst) != len(src) {
+		dst = make([][]wbEntry, len(src))
+		n := 0
+		for _, b := range src {
+			n += len(b)
+		}
+		flat := make([]wbEntry, n)
+		for i, b := range src {
+			dst[i], flat = flat[:0:len(b)], flat[len(b):]
+		}
 	}
-	if n == 0 {
-		return out
+	for i, b := range src {
+		dst[i] = append(dst[i][:0], b...)
 	}
-	flat := make([]wbEntry, n)
-	for i, b := range bs {
-		out[i] = flat[:len(b):len(b)]
-		flat = flat[len(b):]
-		copy(out[i], b)
-	}
-	return out
+	return dst
 }
 
 // WriteBuffer models a shared-bus system (with or without per-processor
@@ -110,19 +112,23 @@ func (m *WriteBuffer) delayBlocked(p int) bool {
 }
 
 // Clone implements Machine.
-func (m *WriteBuffer) Clone() Machine {
-	c := &WriteBuffer{
-		base:    m.cloneBase(),
-		memory:  m.memory.clone(),
-		buffers: cloneBuffers(m.buffers),
-		delays:  m.delays, // immutable after construction: share, don't copy
+func (m *WriteBuffer) Clone() Machine { return m.CloneInto(nil) }
+
+// CloneInto implements Machine.
+func (m *WriteBuffer) CloneInto(dst Machine) Machine {
+	d, _ := dst.(*WriteBuffer)
+	if d == nil {
+		d = new(WriteBuffer)
 	}
-	return c
+	m.copyBase(&d.base)
+	m.memory.copyInto(&d.memory)
+	d.buffers = copyBuffers(d.buffers, m.buffers)
+	d.delays = m.delays // immutable after construction: share, don't copy
+	return d
 }
 
 // Transitions implements Machine.
-func (m *WriteBuffer) Transitions() []Transition {
-	ts := make([]Transition, 0, 2*len(m.threads))
+func (m *WriteBuffer) Transitions(ts []Transition) []Transition {
 	for p := range m.threads {
 		if len(m.buffers[p]) > 0 {
 			ts = append(ts, Transition{Kind: TDrain, Proc: p})
@@ -282,3 +288,6 @@ func (m *WriteBuffer) Final() *program.FinalState { return m.finalState(&m.memor
 
 // Result implements Machine.
 func (m *WriteBuffer) Result() mem.Result { return m.result(&m.memory) }
+
+// AppendResultKey implements Machine.
+func (m *WriteBuffer) AppendResultKey(b []byte) []byte { return m.appendResultKey(b, &m.memory) }

@@ -18,7 +18,7 @@ func runSCOnce(t *testing.T, p *program.Program) model.Machine {
 		if steps > 1_000_000 {
 			t.Fatal("program did not terminate")
 		}
-		ts := m.Transitions()
+		ts := m.Transitions(nil)
 		if len(ts) == 0 {
 			if !m.Done() {
 				t.Fatal("deadlock")
