@@ -85,9 +85,9 @@ var ErrTooLarge = errors.New("candidate space exceeds axiomatic budgets")
 
 // CounterpartFor maps an operational machine name (as registered in
 // internal/litmus) to the axiomatic system specifying it, if one exists.
-// The Figure-1 bus machines share the TSO axioms with the independently
-// implemented tso model: a FIFO write buffer in front of an atomic memory
-// (coherent caches included) is total store order.
+// The Figure-1 bus machines are the tso machine under their own names — a
+// FIFO write buffer in front of an atomic memory (coherent caches included)
+// is total store order — so all three map to the TSO axioms.
 func CounterpartFor(machine string) (System, bool) {
 	switch machine {
 	case "SC":

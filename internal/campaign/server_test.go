@@ -16,6 +16,7 @@ import (
 
 	"weakorder/internal/fuzz"
 	"weakorder/internal/litmus"
+	"weakorder/internal/model"
 	"weakorder/internal/par"
 	"weakorder/internal/program"
 )
@@ -128,13 +129,19 @@ func TestCheckEndpointCacheHit(t *testing.T) {
 
 // verdictWidths are the par widths the /v1/check cost tests run at: 1, 2
 // and GOMAXPROCS, the last capped at one more than a default verdict's
-// explorations (the SC pass and the ten weakly ordered machines). Up to that
-// width the verdict's fan-out claims every slot and each exploration runs
-// serially, so reduced state counts are deterministic; a wider pool would
-// hand spare slots to the explorations themselves.
+// explorations (the SC pass and one per behaviour identity among the weakly
+// ordered machines). Up to that width the verdict's fan-out claims every slot
+// and each exploration runs serially, so reduced state counts are
+// deterministic; a wider pool would hand spare slots to the explorations
+// themselves.
 func verdictWidths() []int {
+	_, p := ProgramFor(1, 0)
+	ids := make(map[model.Behavior]bool)
+	for _, f := range litmus.WeaklyOrderedFactories() {
+		ids[f.New(p).Behavior()] = true
+	}
 	widths := []int{1, 2}
-	if n := min(runtime.GOMAXPROCS(0), 12); n > 2 {
+	if n := min(runtime.GOMAXPROCS(0), 2+len(ids)); n > 2 {
 		widths = append(widths, n)
 	}
 	return widths
@@ -142,8 +149,8 @@ func verdictWidths() []int {
 
 // TestCheckExploredNowIsWholeCost pins a cold /v1/check's explored_now to
 // the verdict's whole exploration cost: the States a serial
-// fuzz.Checker.Check reports, which is the SC pass plus every machine, at
-// every fan-out width.
+// fuzz.Checker.Check reports, which is the SC pass plus one exploration per
+// behaviour identity, at every fan-out width.
 func TestCheckExploredNowIsWholeCost(t *testing.T) {
 	for _, w := range verdictWidths() {
 		t.Run(fmt.Sprintf("width=%d", w), func(t *testing.T) {

@@ -79,10 +79,10 @@ func Contract(n int, seed int64) (*ContractSummary, error) {
 	}
 	s.Programs = len(progs)
 	// Every program's containment check — the expensive part, one SC pass
-	// plus one exploration per machine — is independent of every other's, so
-	// the sweep fans out through the worker pool. Each cell reports its verdicts
-	// and the serial reduction below aggregates them in input order, keeping
-	// the summary identical at any pool width.
+	// plus one exploration per distinct machine — is independent of every
+	// other's, so the sweep fans out through the worker pool. Each cell
+	// reports its verdicts and the serial reduction below aggregates them in
+	// input order, keeping the summary identical at any pool width.
 	type verdict struct {
 		obeys     bool
 		violated  []string // machines violating the contract on this program

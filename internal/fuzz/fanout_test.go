@@ -18,10 +18,11 @@ import (
 // GOMAXPROCS, Check must return a report deep-equal to the in-order
 // Workers: 0 report, States included, over the litmus corpus and the first
 // 32 programs of campaign seed 1. GOMAXPROCS is capped at one more than the
-// verdict's explorations: up to there the fan-out claims every slot, so each
-// exploration runs serially. A budget-exhausting program must fail with the
-// same error at every width, with exactly the budget as its partial States
-// where the fan-out runs in order.
+// verdict's explorations, one per behaviour identity among the default
+// machines: up to there the fan-out claims every slot, so each exploration
+// runs serially. A budget-exhausting program must fail with the same error at
+// every width, with exactly the budget as its partial States where the
+// fan-out runs in order.
 func TestCheckFanOutMatchesSerial(t *testing.T) {
 	var progs []*program.Program
 	for _, lt := range litmus.Corpus() {
@@ -58,7 +59,7 @@ func TestCheckFanOutMatchesSerial(t *testing.T) {
 	tightAuto.Workers = -1
 
 	widths := []int{1, 2}
-	if n := min(runtime.GOMAXPROCS(0), 2+len(litmus.WeaklyOrderedFactories())); n > 2 {
+	if n := min(runtime.GOMAXPROCS(0), 2+explorations(litmus.WeaklyOrderedFactories(), progs[0])); n > 2 {
 		widths = append(widths, n)
 	}
 	for _, w := range widths {
@@ -81,4 +82,14 @@ func TestCheckFanOutMatchesSerial(t *testing.T) {
 		}
 		restore()
 	}
+}
+
+// explorations returns how many machine explorations a verdict over machines
+// runs: one per behaviour identity.
+func explorations(machines []litmus.Factory, p *program.Program) int {
+	ids := make(map[model.Behavior]bool)
+	for _, f := range machines {
+		ids[f.New(p).Behavior()] = true
+	}
+	return len(ids)
 }

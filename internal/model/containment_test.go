@@ -87,3 +87,14 @@ func TestDef2ContainedInNoReserve(t *testing.T) {
 		subset(t, p.Name+" def2⊆noreserve", d2, nr)
 	}
 }
+
+// TestRelaxationLadderContainment: each rung of TSO -> PSO -> RMO keeps every
+// reordering of the rung below and adds one, so TSO ⊆ PSO ⊆ RMO.
+func TestRelaxationLadderContainment(t *testing.T) {
+	for _, p := range randomPrograms() {
+		tso := outcomes(t, NewTSO(p))
+		pso := outcomes(t, NewPSO(p))
+		subset(t, p.Name+" tso⊆pso", tso, pso)
+		subset(t, p.Name+" pso⊆rmo", pso, outcomes(t, NewRMO(p)))
+	}
+}

@@ -5,8 +5,10 @@
 //   - SC: the idealized architecture — every access executes atomically in
 //     program order (the reference for Definition 2 and the enumerator of
 //     idealized executions for Definition 3).
-//   - WriteBuffer: a bus-based system where reads may pass buffered writes
-//     (Figure 1, configurations 1 and 3).
+//   - Relaxed: the store-buffer machines of the relaxation ladder TSO, PSO
+//     and RMO. Figure 1's bus-based systems, where reads may pass buffered
+//     writes (configurations 1 and 3), are its TSO instance under their own
+//     names (NewWriteBuffer).
 //   - Network: a general-interconnection-network system without caches where
 //     accesses issue in program order but reach memory modules out of order
 //     (Figure 1, configuration 2).
@@ -24,7 +26,9 @@
 //     synchronization operations are not serialized and set no reservation.
 //
 // Every machine is a value that can be Cloned, so the explorer can branch on
-// each enabled transition and deduplicate states by canonical key.
+// each enabled transition and deduplicate states by canonical key. Every
+// machine also has a behaviour identity (Behavior), separate from its display
+// name, so a caller can explore each distinct transition system once.
 package model
 
 import (
@@ -97,8 +101,12 @@ const (
 
 // Machine is an operational memory-system model under exploration.
 type Machine interface {
-	// Name identifies the model in reports and tables.
+	// Name identifies the model in reports and tables. It is for display
+	// only: no transition, state key or step info reads it; only error text
+	// does.
 	Name() string
+	// Behavior returns the machine's behaviour identity.
+	Behavior() Behavior
 	// Clone returns an independent copy. Its cost does not grow with the
 	// recorded history, which the copy shares (see histNode). It is
 	// CloneInto(nil).
@@ -150,6 +158,32 @@ type Machine interface {
 	// disabled steps.
 	Footprints(buf []explore.AgentFootprints) []explore.AgentFootprints
 }
+
+// Behavior is a machine's behaviour identity: a comparable value, equal for
+// two machines built over one program exactly when they run the same
+// transition system — the same states, keys, steps, step infos and
+// footprints — whatever their display names. It is the machine's kind plus
+// the parameters that change its transitions: the Relaxed or WeakOrdered
+// mode, and a delay set, which is compared by identity, so a machine built
+// with one shares its identity with no other. Machines sharing an identity
+// have one outcome set on every program, one class of the weakness preorder,
+// so one exploration answers for all of them.
+type Behavior struct {
+	kind   machineKind
+	mode   uint8
+	delays *delaySet
+}
+
+// machineKind names a machine type for Behavior.
+type machineKind uint8
+
+const (
+	kindSC machineKind = iota
+	kindRelaxed
+	kindNetwork
+	kindNonAtomic
+	kindWeakOrdered
+)
 
 // base carries the thread interpreters and recording shared by all machines.
 type base struct {

@@ -52,6 +52,9 @@ func NewNetwork(p *program.Program) *Network {
 // Clone implements Machine.
 func (m *Network) Clone() Machine { return m.CloneInto(nil) }
 
+// Behavior implements Machine.
+func (m *Network) Behavior() Behavior { return Behavior{kind: kindNetwork} }
+
 // CloneInto implements Machine.
 func (m *Network) CloneInto(dst Machine) Machine {
 	d, _ := dst.(*Network)

@@ -30,6 +30,9 @@ func NewNonAtomic(p *program.Program) *NonAtomic {
 // Clone implements Machine.
 func (m *NonAtomic) Clone() Machine { return m.CloneInto(nil) }
 
+// Behavior implements Machine.
+func (m *NonAtomic) Behavior() Behavior { return Behavior{kind: kindNonAtomic} }
+
 // CloneInto implements Machine.
 func (m *NonAtomic) CloneInto(dst Machine) Machine {
 	d, _ := dst.(*NonAtomic)

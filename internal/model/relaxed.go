@@ -9,6 +9,46 @@ import (
 	"weakorder/internal/program"
 )
 
+// bufferDepth is the write-buffer capacity: a processor stalls issuing
+// further writes once this many are pending. Finite depth matches real
+// hardware and keeps spin-loop state spaces bounded.
+const bufferDepth = 8
+
+// wbEntry is one buffered write awaiting retirement to memory.
+type wbEntry struct {
+	addr    mem.Addr
+	value   mem.Value
+	opIndex int
+}
+
+// copyBuffers copies per-processor write buffers into dst's buffers and
+// returns them. A dst that does not hold one buffer per processor is
+// replaced by fresh buffers sharing one allocation. Each fresh buffer is
+// capped at its length, so an append reallocates instead of writing into its
+// neighbour.
+func copyBuffers(dst, src [][]wbEntry) [][]wbEntry {
+	if len(dst) != len(src) {
+		dst = make([][]wbEntry, len(src))
+		n := 0
+		for _, b := range src {
+			n += len(b)
+		}
+		flat := make([]wbEntry, n)
+		for i, b := range src {
+			dst[i], flat = flat[:0:len(b)], flat[len(b):]
+		}
+	}
+	for i, b := range src {
+		dst[i] = append(dst[i][:0], b...)
+	}
+	return dst
+}
+
+// delaySet is a delay set a machine enforces (see NewWriteBufferDelays): per
+// thread, a map from op index to the earlier op indices that must have
+// retired first. It is immutable after construction, so clones share it.
+type delaySet struct{ before []map[int][]int }
+
 // relaxMode selects which program-order relaxations a Relaxed machine
 // exhibits between synchronization operations.
 type relaxMode uint8
@@ -17,10 +57,7 @@ const (
 	// relaxTSO relaxes only W->R order: writes retire through a single FIFO
 	// store buffer per processor while reads bypass it (forwarding from the
 	// newest same-address buffered write). The classic total-store-order
-	// machine; behaviorally it coincides with the Figure-1 write-buffer
-	// hardware but is kept as an independently implemented model so the
-	// axiomatic checker can cross-validate two codebases against one axiom
-	// set.
+	// machine, and Figure 1's bus-based write-buffer hardware.
 	relaxTSO relaxMode = iota
 	// relaxPSO additionally relaxes W->W order between different addresses:
 	// the store buffer is FIFO per address only, so writes to distinct
@@ -71,6 +108,11 @@ type Relaxed struct {
 	// the newest version of a it has observed. Reads choose any index >=
 	// seen[p][a].
 	seen []addrTable[int]
+	// delays, when non-nil, is the enforcement half of Shasha & Snir's
+	// delay-set analysis (internal/delayset): an op waits until the earlier
+	// ops it is delayed behind have retired. Only buffered writes can be
+	// unretired, so the gate checks the buffer.
+	delays *delaySet
 }
 
 // NewTSO builds the total-store-order machine.
@@ -81,6 +123,30 @@ func NewPSO(p *program.Program) *Relaxed { return newRelaxed(p, relaxPSO, "pso")
 
 // NewRMO builds the relaxed-memory-order machine.
 func NewRMO(p *program.Program) *Relaxed { return newRelaxed(p, relaxRMO, "rmo") }
+
+// NewWriteBuffer builds Figure 1's shared-bus system, with or without
+// per-processor caches kept coherent by the bus (configurations 1 and 3): each
+// processor retires writes through a FIFO write buffer while reads pass
+// buffered writes, and synchronization drains the buffer first. That is the
+// TSO machine; name lets the two configurations present themselves
+// distinctly, and "" means "bus+writebuffer".
+func NewWriteBuffer(p *program.Program, name string) *Relaxed {
+	if name == "" {
+		name = "bus+writebuffer"
+	}
+	return newRelaxed(p, relaxTSO, name)
+}
+
+// NewWriteBufferDelays builds a write-buffer machine that additionally
+// enforces a delay set: delays[t][k] lists the op indices of thread t that
+// must have retired from the buffer before op k may issue. With the delay set
+// computed by internal/delayset, the machine appears sequentially consistent
+// to the analyzed program (Shasha & Snir's guarantee).
+func NewWriteBufferDelays(p *program.Program, delays []map[int][]int) *Relaxed {
+	m := NewWriteBuffer(p, "bus+writebuffer+delays")
+	m.delays = &delaySet{before: delays}
+	return m
+}
 
 func newRelaxed(p *program.Program, mode relaxMode, name string) *Relaxed {
 	m := &Relaxed{
@@ -104,6 +170,12 @@ func newRelaxed(p *program.Program, mode relaxMode, name string) *Relaxed {
 // Clone implements Machine.
 func (m *Relaxed) Clone() Machine { return m.CloneInto(nil) }
 
+// Behavior implements Machine: the mode and the delay set, so the bus
+// machines share the tso machine's identity.
+func (m *Relaxed) Behavior() Behavior {
+	return Behavior{kind: kindRelaxed, mode: uint8(m.mode), delays: m.delays}
+}
+
 // CloneInto implements Machine. The RMO histories' arrays are shared, never
 // written; their table and the cursors are copied.
 func (m *Relaxed) CloneInto(dst Machine) Machine {
@@ -117,7 +189,24 @@ func (m *Relaxed) CloneInto(dst Machine) Machine {
 	d.buffers = copyBuffers(d.buffers, m.buffers)
 	m.hist.copyInto(&d.hist)
 	d.seen = copyTables(d.seen, m.seen)
+	d.delays = m.delays
 	return d
+}
+
+// delayBlocked reports whether thread p's pending op (at its current op
+// index) must wait for a delayed predecessor still sitting in the buffer.
+func (m *Relaxed) delayBlocked(p int) bool {
+	if m.delays == nil || p >= len(m.delays.before) {
+		return false
+	}
+	for _, u := range m.delays.before[p][m.threads[p].OpIndex] {
+		for _, e := range m.buffers[p] {
+			if e.opIndex == u {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // ensureHist returns the history of a, creating it for an overflow location
@@ -219,7 +308,7 @@ func (m *Relaxed) Transitions(ts []Transition) []Transition {
 			}
 		}
 		req, ok, err := m.pending(p)
-		if err != nil || !ok {
+		if err != nil || !ok || m.delayBlocked(p) {
 			continue
 		}
 		switch {
@@ -421,7 +510,8 @@ func (m *Relaxed) StepInfo(t Transition) explore.Info {
 
 // Footprints implements Machine: each processor's static suffix plus the
 // writes still sitting in its buffer. Wake footprints stay empty — every
-// enabling gate depends on the processor's own buffer alone.
+// enabling gate (buffer room, sync drain, delay set) depends on the
+// processor's own buffer alone.
 func (m *Relaxed) Footprints(buf []explore.AgentFootprints) []explore.AgentFootprints {
 	base := len(buf)
 	buf = m.appendThreadFootprints(buf)

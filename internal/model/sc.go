@@ -27,6 +27,9 @@ func NewSC(p *program.Program) *SC {
 // Clone implements Machine.
 func (m *SC) Clone() Machine { return m.CloneInto(nil) }
 
+// Behavior implements Machine.
+func (m *SC) Behavior() Behavior { return Behavior{kind: kindSC} }
+
 // CloneInto implements Machine.
 func (m *SC) CloneInto(dst Machine) Machine {
 	d, _ := dst.(*SC)

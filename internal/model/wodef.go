@@ -74,8 +74,9 @@ func NewWODef2NoReserve(p *program.Program) *WeakOrdered {
 // NewFence builds an RP3-style fence machine (Section 2.1): a processor waits
 // for acknowledgements of its outstanding requests only at synchronization
 // points. Operationally this coincides with Definition 1's per-processor
-// stall, so the machine shares modeDef1; only the name differs, and test E7
-// verifies the behavioral equivalence explicitly.
+// stall, so the machine shares modeDef1 and with it WO-def1's behaviour
+// identity; only the name differs, and test E7 verifies the behavioral
+// equivalence explicitly.
 func NewFence(p *program.Program) *WeakOrdered { return newWO(p, modeDef1, "RP3-fence") }
 
 func newWO(p *program.Program, mode woMode, name string) *WeakOrdered {
@@ -90,6 +91,11 @@ func newWO(p *program.Program, mode woMode, name string) *WeakOrdered {
 
 // Clone implements Machine.
 func (m *WeakOrdered) Clone() Machine { return m.CloneInto(nil) }
+
+// Behavior implements Machine: the mode, so RP3-fence shares WO-def1's.
+func (m *WeakOrdered) Behavior() Behavior {
+	return Behavior{kind: kindWeakOrdered, mode: uint8(m.mode)}
+}
 
 // CloneInto implements Machine.
 func (m *WeakOrdered) CloneInto(dst Machine) Machine {
