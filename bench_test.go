@@ -17,7 +17,6 @@ import (
 	"weakorder/internal/mem"
 	"weakorder/internal/model"
 	"weakorder/internal/proc"
-	"weakorder/internal/race"
 	"weakorder/internal/workload"
 )
 
@@ -245,8 +244,8 @@ func BenchmarkHappensBefore(b *testing.B) {
 	}
 }
 
-// BenchmarkRaceDetector measures the vector-clock detector on the same
-// synthetic execution.
+// BenchmarkRaceDetector measures core.CheckExecution's vector clocks on the
+// same synthetic execution.
 func BenchmarkRaceDetector(b *testing.B) {
 	e := mem.NewExecution(8)
 	for i := 0; i < 512; i++ {
@@ -259,7 +258,7 @@ func BenchmarkRaceDetector(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := race.CheckExecution(e, core.DRF0{}); err != nil {
+		if _, err := core.CheckExecution(e, core.DRF0{}); err != nil {
 			b.Fatal(err)
 		}
 	}

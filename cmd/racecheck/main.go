@@ -4,7 +4,8 @@
 // certifies one racy execution; -model drf1 and -all enumerate its idealized
 // executions instead. With -trace it
 // instead checks a recorded execution (JSON, as written by wosim -dump-trace):
-// races under the model, sequential consistency of the result, and — when the
+// races under the model (core.CheckExecution, reading the trace in its
+// completion order), sequential consistency of the result, and — when the
 // trace carries timing data — the Section-5.1 conditions.
 //
 // Usage:
@@ -26,7 +27,6 @@ import (
 	"weakorder/internal/lockset"
 	"weakorder/internal/model"
 	"weakorder/internal/program"
-	"weakorder/internal/race"
 	"weakorder/internal/trace"
 )
 
@@ -94,19 +94,18 @@ func checkTrace(path string, m core.SyncModel) {
 		fatal(err)
 	}
 	bad := false
-	// Races via the streaming detector (the trace's completion order may be
-	// a commit order from a relaxed machine; races are still meaningful
-	// relative to it and cross-checked against hb by the library's tests).
-	races, err := race.CheckExecution(exec, m)
+	// The trace's completion order may be a commit order from a relaxed
+	// machine; races are still meaningful relative to it.
+	rrep, err := core.CheckExecution(exec, m)
 	if err != nil {
 		fatal(err)
 	}
-	if len(races) == 0 {
+	if rrep.Free() {
 		fmt.Printf("races (%s): none over %d events\n", m.Name(), exec.Len())
 	} else {
 		bad = true
-		fmt.Printf("races (%s): %d\n", m.Name(), len(races))
-		for _, r := range races {
+		fmt.Printf("races (%s): %d\n", m.Name(), len(rrep.Races))
+		for _, r := range rrep.Races {
 			fmt.Printf("  %s\n", r)
 		}
 	}

@@ -1,7 +1,6 @@
-// Racedetect demonstrates the Definition-3 tooling: the happens-before
-// machinery on the paper's Figure-2 executions, the dynamic vector-clock
-// detector, and whole-program checking under both DRF0 and the Section-6
-// refined model.
+// Racedetect demonstrates the Definition-3 tooling: the per-execution race
+// check on the paper's Figure-2 executions, and whole-program checking under
+// both DRF0 and the Section-6 refined model.
 package main
 
 import (
@@ -10,7 +9,6 @@ import (
 
 	"weakorder"
 	"weakorder/internal/litmus"
-	"weakorder/internal/race"
 )
 
 const racy = `
@@ -50,17 +48,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%s: %s\n", name, rep)
-	}
-	fmt.Println()
-
-	// The same verdicts from the streaming vector-clock detector.
-	races, err := race.CheckExecution(litmus.Figure2b(), weakorder.DRF0())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("vector-clock detector finds %d race pair(s) in figure-2b:\n", len(races))
-	for _, r := range races {
-		fmt.Printf("  %s\n", r)
 	}
 	fmt.Println()
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"weakorder/internal/mem"
@@ -21,9 +23,10 @@ func (r Race) String() string {
 // Report is the verdict of checking one idealized execution against a
 // synchronization model.
 type Report struct {
-	Model  string
-	Races  []Race
-	Orders *Orders
+	Model string
+	Races []Race
+	// Exec is the execution that was checked.
+	Exec *mem.Execution
 }
 
 // Free reports whether the execution is race-free (obeys the model).
@@ -50,39 +53,126 @@ func (r *Report) String() string {
 // address; the restriction is retained as documentation of why multi-location
 // swaps are not expressible.
 //
+// It decides with vector clocks in one pass over the completion order,
+// without building BuildOrders' relations: each processor carries a clock,
+// and each location a release clock that a later synchronization operation
+// acquires when the model's edge rule lets it. An access is stamped with its
+// processor's own clock component (an epoch), and an earlier access
+// happens-before a later one exactly when the later processor's clock has
+// reached that stamp. Each processor's events are read in completion order,
+// which is their program order in every idealized execution. Races are
+// listed once per pair, the lower event ID as A, sorted by (A.ID, B.ID).
+//
 // The initial state needs no special casing: the paper's hypothetical
 // initializing writes happen-before every real access, so they can race with
 // nothing.
 func CheckExecution(e *mem.Execution, m SyncModel) (*Report, error) {
-	ord, err := BuildOrders(e, m)
-	if err != nil {
-		return nil, err
+	if e.Completed == nil {
+		return nil, fmt.Errorf("core: execution has no completion order; CheckExecution requires an idealized execution")
 	}
-	rep := &Report{Model: m.Name(), Orders: ord}
-	n := e.Len()
-	for i := 0; i < n; i++ {
-		ei := e.Event(mem.EventID(i))
-		for j := i + 1; j < n; j++ {
-			ej := e.Event(mem.EventID(j))
-			if !ei.ConflictsWith(ej.Access) {
-				continue
+	if err := e.Validate(); err != nil {
+		return nil, fmt.Errorf("core: invalid execution: %w", err)
+	}
+	n := e.NumProcs
+	clocks := make([]int, n*n) // processor p's clock is clocks[p*n : p*n+n]
+	locs := make(map[mem.Addr]*location)
+	rep := &Report{Model: m.Name(), Exec: e}
+	for _, id := range e.Completed {
+		ev := e.Event(id)
+		p := int(ev.Proc)
+		me := clocks[p*n : p*n+n]
+		loc := locs[ev.Addr]
+		if loc == nil {
+			loc = new(location)
+			locs[ev.Addr] = loc
+		}
+		sync := ev.Op.IsSync()
+		if sync && loc.release != nil && m.SyncEdge(syncRW(ev.Addr), ev) {
+			join(me, loc.release)
+		}
+		// A write conflicts with every earlier access, a read with the
+		// earlier writes; each earlier access sits in one of the two lists,
+		// so each pair is checked once.
+		if ev.Op.Writes() {
+			rep.Races = appendRaces(rep.Races, e, ev, me, loc.reads)
+		}
+		rep.Races = appendRaces(rep.Races, e, ev, me, loc.writes)
+		me[p]++
+		if sync && m.SyncEdge(ev, syncRW(ev.Addr)) {
+			if loc.release == nil {
+				loc.release = make([]int, n)
 			}
-			// Two synchronization operations on the same location are never
-			// a data race: the hardware arbitrates them by definition
-			// (condition 3 of Section 5.1 totally orders them). Under DRF0
-			// they are so-ordered anyway; under the DRF1 refinement a
-			// read-only sync contributes no ordering edge, yet its conflict
-			// with a sync write is still hardware-arbitrated — a spinning
-			// Test merely retries.
-			if ei.Op.IsSync() && ej.Op.IsSync() {
-				continue
-			}
-			if !ord.Ordered(ei.ID, ej.ID) {
-				rep.Races = append(rep.Races, Race{A: ei, B: ej})
-			}
+			join(loc.release, me)
+		}
+		a := access{id: id, proc: p, stamp: me[p]}
+		if ev.Op.Writes() {
+			loc.writes = append(loc.writes, a)
+		} else {
+			loc.reads = append(loc.reads, a)
 		}
 	}
+	slices.SortFunc(rep.Races, func(x, y Race) int {
+		return cmp.Or(cmp.Compare(x.A.ID, y.A.ID), cmp.Compare(x.B.ID, y.B.ID))
+	})
 	return rep, nil
+}
+
+// syncRW is a read-write synchronization counterpart on a. Every SyncModel
+// here decides an edge s1 → s2 by one test on s1 and one on s2, so
+// SyncEdge(s, syncRW) asks whether s can release to any later sync, and
+// SyncEdge(syncRW, s) whether s can acquire from any earlier one.
+func syncRW(a mem.Addr) mem.Event {
+	return mem.Event{Access: mem.Access{Op: mem.OpSyncRMW, Addr: a}}
+}
+
+// access is an earlier access to a location: its event, its processor and
+// its epoch, that processor's own clock component just after the access.
+type access struct {
+	id    mem.EventID
+	proc  int
+	stamp int
+}
+
+// location is CheckExecution's record of one address: its earlier accesses
+// that write, those that only read, and its release clock (nil until a sync
+// here releases).
+type location struct {
+	writes, reads []access
+	release       []int
+}
+
+// appendRaces appends a Race for every access in prior, each conflicting with
+// ev, that does not happen-before ev, whose processor's clock is me. A
+// processor's own component has reached the stamp of each of its earlier
+// accesses, so program order needs no separate test. Two synchronization
+// operations never race: the hardware arbitrates them (condition 3 of
+// Section 5.1 totally orders them), even under DRF1, where a read-only sync
+// orders nothing yet a spinning Test merely retries.
+func appendRaces(races []Race, e *mem.Execution, ev mem.Event, me []int, prior []access) []Race {
+	for _, a := range prior {
+		if me[a.proc] >= a.stamp {
+			continue
+		}
+		other := e.Event(a.id)
+		if ev.Op.IsSync() && other.Op.IsSync() {
+			continue
+		}
+		if other.ID > ev.ID {
+			races = append(races, Race{A: ev, B: other})
+		} else {
+			races = append(races, Race{A: other, B: ev})
+		}
+	}
+	return races
+}
+
+// join sets c to the pointwise maximum of c and o.
+func join(c, o []int) {
+	for i, x := range o {
+		if x > c[i] {
+			c[i] = x
+		}
+	}
 }
 
 // ExecutionEnumerator supplies the idealized executions of a program.

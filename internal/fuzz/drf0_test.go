@@ -13,7 +13,6 @@ import (
 	"weakorder/internal/model"
 	"weakorder/internal/par"
 	"weakorder/internal/program"
-	"weakorder/internal/race"
 	"weakorder/internal/workload"
 )
 
@@ -58,8 +57,8 @@ func drf0Corpus() []drf0Case {
 // it) must equal the enumeration oracle's — core.CheckProgram checking every
 // idealized execution — with POR on and off, at widths 1 and GOMAXPROCS. The
 // one allowed difference is a program the oracle skips on the state budget;
-// it must then decide its corpus annotation. Every racy witness must be racy
-// to the vector-clock detector too.
+// it must then decide its corpus annotation. Every race a racy witness lists
+// must be a conflicting pair that BuildOrders' hb leaves unordered.
 func TestSinglePassDRF0MatchesEnumeration(t *testing.T) {
 	corpus := drf0Corpus()
 	widths := []int{1, runtime.GOMAXPROCS(0)}
@@ -111,12 +110,17 @@ func checkDRF0Cell(c drf0Case, fullExpl bool, widths []int) error {
 			if rep == nil {
 				continue
 			}
-			races, err := race.CheckExecution(rep.Orders.Exec, core.DRF0{})
-			if err != nil {
-				return fmt.Errorf("%s width %d: detector on witness: %w", c.p.Name, w, err)
+			if rep.Free() {
+				return fmt.Errorf("%s width %d: a racy verdict lists no race", c.p.Name, w)
 			}
-			if len(races) == 0 {
-				return fmt.Errorf("%s width %d: the vector-clock detector finds no race in the witness", c.p.Name, w)
+			ord, err := core.BuildOrders(rep.Exec, core.DRF0{})
+			if err != nil {
+				return fmt.Errorf("%s width %d: hb of the witness: %w", c.p.Name, w, err)
+			}
+			for _, r := range rep.Races {
+				if !r.A.ConflictsWith(r.B.Access) || ord.Ordered(r.A.ID, r.B.ID) {
+					return fmt.Errorf("%s width %d: the witness lists %s, which hb orders or which does not conflict", c.p.Name, w, r)
+				}
 			}
 		}
 	}

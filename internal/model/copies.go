@@ -18,7 +18,7 @@ type prop struct {
 	value mem.Value
 }
 
-// copies is the shared substrate of the cache-based machines (NonAtomic,
+// copies is the shared substrate of the WeakOrdered machines (NonAtomic,
 // WODef1, WODef2): every processor owns a full copy of memory; a write
 // commits by updating the writer's copy and becomes globally performed once
 // its propagations have reached every other copy. Writes to the same location

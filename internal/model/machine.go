@@ -14,7 +14,8 @@
 //     (Figure 1, configuration 2).
 //   - NonAtomic: a cache-based system with a general network where a write
 //     updates the writer's copy immediately and propagates to other
-//     processors' copies asynchronously (Figure 1, configuration 4).
+//     processors' copies asynchronously (Figure 1, configuration 4), and
+//     synchronization orders nothing.
 //   - WODef1: weak ordering per Dubois/Scheurich/Briggs' Definition 1 — a
 //     processor stalls its own synchronization operation until all its
 //     previous accesses are globally performed.
@@ -24,6 +25,9 @@
 //     outstanding accesses are globally performed.
 //   - WODef2DRF1: WODef2 with the Section-6 refinement — read-only
 //     synchronization operations are not serialized and set no reservation.
+//
+// NonAtomic and the WODef machines are modes of one type, WeakOrdered, over
+// per-processor copies of memory.
 //
 // Every machine is a value that can be Cloned, so the explorer can branch on
 // each enabled transition and deduplicate states by canonical key. Every
@@ -181,7 +185,6 @@ const (
 	kindSC machineKind = iota
 	kindRelaxed
 	kindNetwork
-	kindNonAtomic
 	kindWeakOrdered
 )
 

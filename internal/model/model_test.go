@@ -349,7 +349,7 @@ thread:
 `).Program
 	x := &Explorer{}
 	_, err := x.Visit(NewNonAtomic(p), func(f Machine) bool {
-		na := f.(*NonAtomic)
+		na := f.(*WeakOrdered)
 		v0 := na.c.data[0].get(mem.Addr(0))
 		v1 := na.c.data[1].get(mem.Addr(0))
 		if v0 != v1 {

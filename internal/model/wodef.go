@@ -38,11 +38,19 @@ const (
 	// the next synchronizer — the machine is NOT weakly ordered w.r.t. DRF0
 	// and the contract experiments must catch it.
 	modeDef2NoReserve
+	// modeNonAtomic is Figure 1's configuration 4: every access issues in
+	// program order and hits the issuer's own copy at once, but a write
+	// reaches the other copies asynchronously. Synchronization orders
+	// nothing: a sync commits to the issuer's copy and propagates like a
+	// data write, so the machine implements no weak ordering at all — the
+	// deliberately broken hardware the Definition-2 contract checker must
+	// catch even on DRF0 programs.
+	modeNonAtomic
 )
 
-// WeakOrdered is the family of weakly ordered cache-based machines, sharing
-// the copies substrate (per-processor copies, asynchronous propagation,
-// commit vs globally-performed distinction).
+// WeakOrdered is the family of cache-based machines, weakly ordered or not,
+// sharing the copies substrate (per-processor copies, asynchronous
+// propagation, commit vs globally-performed distinction).
 type WeakOrdered struct {
 	base
 	c    *copies
@@ -69,6 +77,12 @@ func NewWODef2DRF1(p *program.Program) *WeakOrdered {
 // makes the implementation weakly ordered w.r.t. DRF0.
 func NewWODef2NoReserve(p *program.Program) *WeakOrdered {
 	return newWO(p, modeDef2NoReserve, "WO-def2-noreserve")
+}
+
+// NewNonAtomic builds Figure 1's cache-based network machine, which ignores
+// synchronization.
+func NewNonAtomic(p *program.Program) *WeakOrdered {
+	return newWO(p, modeNonAtomic, "network+cache-nonatomic")
 }
 
 // NewFence builds an RP3-style fence machine (Section 2.1): a processor waits
@@ -133,12 +147,17 @@ func (m *WeakOrdered) syncEnabled(p int, req program.Request) bool {
 	case modeDef2, modeDef2DRF1:
 		r := m.reserver(req.Addr)
 		return r < 0 || r == p
-	case modeDef2NoReserve:
+	case modeDef2NoReserve, modeNonAtomic:
 		return true
 	default:
 		panic("model: unknown weak-ordering mode")
 	}
 }
+
+// local reports whether an operation commits to the issuer's copy and
+// propagates asynchronously: data operations always, synchronization only
+// on the NonAtomic machine.
+func (m *WeakOrdered) local(op mem.Op) bool { return !op.IsSync() || m.mode == modeNonAtomic }
 
 // Transitions implements Machine.
 func (m *WeakOrdered) Transitions(ts []Transition) []Transition {
@@ -155,7 +174,7 @@ func (m *WeakOrdered) Transitions(ts []Transition) []Transition {
 		if req.Op.IsSync() && !m.syncEnabled(p, req) {
 			continue
 		}
-		if req.Op == mem.OpWrite && !m.c.canCommit(p) {
+		if req.Op.Writes() && m.local(req.Op) && !m.c.canCommit(p) {
 			continue // finite write buffering: stall until a delivery frees room
 		}
 		ts = append(ts, Transition{Kind: TExec, Proc: p})
@@ -194,14 +213,15 @@ func (m *WeakOrdered) Apply(t Transition) error {
 		if !ok {
 			return fmt.Errorf("%s: P%d has no pending operation", m.name, t.Proc)
 		}
-		if !req.Op.IsSync() {
+		if m.local(req.Op) {
 			// Data accesses are fully relaxed on every machine in the
-			// family: reads hit the local copy; writes commit locally and
-			// propagate asynchronously.
+			// family, and so is every access on NonAtomic: reads hit the
+			// local copy; writes commit locally and propagate
+			// asynchronously.
 			old := m.c.read(t.Proc, req.Addr)
 			var wv mem.Value
-			if req.Op == mem.OpWrite {
-				wv = req.Data
+			if req.Op.Writes() {
+				wv = req.NewValue(old)
 				m.c.commitWrite(t.Proc, req.Addr, wv)
 			}
 			m.resolve(t.Proc, req, old, wv)

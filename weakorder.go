@@ -73,8 +73,6 @@ type (
 
 	// SyncModel is a synchronization model (DRF0, DRF1, ...).
 	SyncModel = core.SyncModel
-	// Orders bundles po / so / hb of an analyzed execution.
-	Orders = core.Orders
 	// Race is an unordered conflicting access pair.
 	Race = core.Race
 	// ProgramReport is the Definition-3 verdict for a program.
