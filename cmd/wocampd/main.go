@@ -82,7 +82,7 @@ func main() {
 	}
 	fmt.Printf("wocampd: serving on http://%s (data in %s)\n", ln.Addr(), *dir)
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 
@@ -105,6 +105,11 @@ func main() {
 	}
 	srv.Shutdown()
 }
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a connection that sends them slowly or never cannot hold a
+// server goroutine indefinitely.
+const readHeaderTimeout = 10 * time.Second
 
 func fatal(err error) {
 	fmt.Fprintf(os.Stderr, "wocampd: %v\n", err)

@@ -41,6 +41,28 @@ func TestNewMachineUnknownPanics(t *testing.T) {
 	weakorder.NewMachine("no-such-model", weakorder.MustParseProgram(mpSync).Program)
 }
 
+// TestUnknownModelIsAnError checks that Outcomes and VerifyContract report an
+// unknown hardware model as an error, and that VerifyContract does so before
+// exploring: its program spins in a local loop, which any exploration reports
+// as a different error.
+func TestUnknownModelIsAnError(t *testing.T) {
+	runaway := weakorder.MustParseProgram(`
+name: runaway
+thread:
+loop:
+    jmp loop
+`).Program
+	if _, err := weakorder.Outcomes("no-such-model", runaway); err == nil || !strings.Contains(err.Error(), "unknown hardware model") {
+		t.Errorf("Outcomes: error %v, want an unknown hardware model", err)
+	}
+	if _, err := weakorder.VerifyContract("no-such-model", runaway); err == nil || !strings.Contains(err.Error(), "unknown hardware model") {
+		t.Errorf("VerifyContract: error %v, want an unknown hardware model", err)
+	}
+	if _, err := weakorder.VerifyContract(weakorder.ModelSC, runaway); err == nil || strings.Contains(err.Error(), "unknown hardware model") {
+		t.Errorf("VerifyContract on a known model: error %v, want the exploration's", err)
+	}
+}
+
 func TestCheckModelCustomBound(t *testing.T) {
 	p := weakorder.MustParseProgram(mpSync).Program
 	rep, err := weakorder.CheckModel(p, weakorder.DRF1(), 12)

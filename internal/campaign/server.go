@@ -240,6 +240,10 @@ func (st *campaignState) status(full bool) CampaignStatus {
 //	GET  /v1/campaigns/{id}     one campaign's status (+report when done)
 //	GET  /v1/campaigns/{id}/events   NDJSON progress stream (replay + live)
 //	GET  /v1/stats              cache counters
+//
+// A POST body must be one JSON object of at most maxRequestBody bytes,
+// followed by nothing but whitespace: a larger body is answered 413, and
+// trailing data 400, before anything is explored or stored.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/check", s.handleCheck)
@@ -281,8 +285,7 @@ type CheckResponse struct {
 
 func (s *Server) handleCheck(w http.ResponseWriter, req *http.Request) {
 	var cr CheckRequest
-	if err := decodeJSON(req.Body, &cr); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, req, &cr) {
 		return
 	}
 	if strings.TrimSpace(cr.Litmus) == "" {
@@ -334,8 +337,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, req *http.Request) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	var spec Spec
-	if err := decodeJSON(req.Body, &spec); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !decodeJSON(w, req, &spec) {
 		return
 	}
 	if err := spec.Validate(); err != nil {
@@ -432,14 +434,33 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.store.Stats())
 }
 
-// decodeJSON strictly decodes one JSON value from r.
-func decodeJSON(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
+// maxRequestBody caps a request body in bytes. A check request carries one
+// litmus program and a campaign request a spec, each a few kilobytes.
+const maxRequestBody = 1 << 20
+
+// decodeJSON strictly decodes the request body as one JSON value into v, of
+// which only whitespace may follow. On failure it answers the request itself,
+// 413 for a body over maxRequestBody and 400 for any other error, and
+// returns false.
+func decodeJSON(w http.ResponseWriter, req *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decoding request: %w", err)
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errors.New("data after the JSON value")
+		}
 	}
-	return nil
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
+	} else {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	}
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -226,6 +226,68 @@ func TestCheckEndpointRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestRequestBodyBounds posts bodies the service must refuse to read whole or
+// to take in part: a body over maxRequestBody, whether one huge JSON value or
+// a small one padded past the cap, is answered 413, and a valid request
+// followed by anything but whitespace 400. Neither explores, touches the
+// store or registers a campaign; the same request followed by whitespace
+// alone is served.
+func TestRequestBodyBounds(t *testing.T) {
+	srv, hs := newTestService(t)
+	_, p := ProgramFor(1, 0)
+	check, err := json.Marshal(CheckRequest{Litmus: fuzz.EmitLitmus(p), Machines: "tso"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	campaign, err := json.Marshal(Spec{Seeds: 1, BaseSeed: 1, Machines: "tso"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := append(append([]byte(`{"machines": "`), bytes.Repeat([]byte("x"), maxRequestBody)...), `"}`...)
+	padded := func(valid []byte) []byte { return append(valid, bytes.Repeat([]byte(" "), maxRequestBody)...) }
+	trailing := func(valid []byte) []byte { return append(valid, ` {"litmus": "ignored"} garbage`...) }
+	post := func(path string, body []byte) int {
+		t.Helper()
+		resp, err := http.Post(hs.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, ep := range []struct {
+		path  string
+		valid []byte
+	}{{"/v1/check", check}, {"/v1/campaigns", campaign}} {
+		for _, c := range []struct {
+			name string
+			body []byte
+			want int
+		}{
+			{"huge value", huge, http.StatusRequestEntityTooLarge},
+			{"padded past the cap", padded(ep.valid), http.StatusRequestEntityTooLarge},
+			{"trailing data", trailing(ep.valid), http.StatusBadRequest},
+		} {
+			if code := post(ep.path, c.body); code != c.want {
+				t.Errorf("%s, %s: status %d, want %d", ep.path, c.name, code, c.want)
+			}
+		}
+	}
+	if st := srv.store.Stats(); st != (StoreStats{}) {
+		t.Errorf("refused requests reached the store: %+v", st)
+	}
+	var list []CampaignStatus
+	if code := getJSON(t, hs.URL+"/v1/campaigns", &list); code != http.StatusOK || len(list) != 0 {
+		t.Errorf("refused submissions registered campaigns: status %d, %+v", code, list)
+	}
+	if code := post("/v1/check", append(check, " \n\t "...)); code != http.StatusOK {
+		t.Errorf("/v1/check followed by whitespace: status %d, want %d", code, http.StatusOK)
+	}
+	if st := srv.store.Stats(); st.Puts != 1 {
+		t.Errorf("the served check stored %d verdicts, want 1", st.Puts)
+	}
+}
+
 // waitDone polls a campaign's status until it reports done.
 func waitDone(t *testing.T, base, id string) CampaignStatus {
 	t.Helper()

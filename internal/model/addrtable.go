@@ -8,14 +8,60 @@ import (
 	"weakorder/internal/mem"
 )
 
+// universe is a program's static address universe: its addresses, sorted,
+// and, when they lie close enough together, a direct index from address to
+// slot. A universe is built once per machine construction (newBase) and
+// shared, never written, by every table of every clone.
+type universe struct {
+	addrs []mem.Addr
+	// index[a-lo] is 1 + the slot of address a, or 0 when a is not in the
+	// universe. It is nil when the addresses are too sparse for it (see
+	// denseSpan); slot then binary-searches addrs.
+	lo    mem.Addr
+	index []int32
+}
+
+// denseSpan bounds a direct index: a universe gets one when the span of its
+// addresses, highest minus lowest plus one, is at most denseSpan entries per
+// address. A sparse universe, such as two locations a million apart, keeps
+// the binary search instead of an index that is mostly holes.
+const denseSpan = 4
+
+func newUniverse(addrs []mem.Addr) *universe {
+	u := &universe{addrs: addrs}
+	if len(addrs) == 0 {
+		return u
+	}
+	lo, hi := addrs[0], addrs[len(addrs)-1]
+	if span := uint64(hi-lo) + 1; span <= denseSpan*uint64(len(addrs)) {
+		u.lo, u.index = lo, make([]int32, span)
+		for i, a := range addrs {
+			u.index[a-lo] = int32(i + 1)
+		}
+	}
+	return u
+}
+
+// slot returns the slot of a static address, and false for an address
+// outside the universe.
+func (u *universe) slot(a mem.Addr) (int, bool) {
+	if u.index == nil {
+		return slices.BinarySearch(u.addrs, a)
+	}
+	if d := a - u.lo; uint64(d) < uint64(len(u.index)) && u.index[d] != 0 {
+		return int(u.index[d]) - 1, true
+	}
+	return 0, false
+}
+
 // addrTable holds one V per memory location: a dense slice over the
-// program's static address universe (the sorted p.Addrs(), shared by every
-// table of every clone), plus a sorted overflow for register-computed
-// addresses outside it. A static location always has a slot; an overflow
-// location has one only once it is set, and reads as the zero V until then.
+// program's static address universe (shared by every table of every clone),
+// plus a sorted overflow for register-computed addresses outside it. A static
+// location always has a slot; an overflow location has one only once it is
+// set, and reads as the zero V until then.
 type addrTable[V any] struct {
-	addrs []mem.Addr // the static universe, sorted; never written
-	dense []V        // dense[i] belongs to addrs[i]
+	u     *universe // never written
+	dense []V       // dense[i] belongs to u.addrs[i]
 	extra []addrEntry[V]
 }
 
@@ -25,8 +71,8 @@ type addrEntry[V any] struct {
 	v    V
 }
 
-func newAddrTable[V any](addrs []mem.Addr) addrTable[V] {
-	return addrTable[V]{addrs: addrs, dense: make([]V, len(addrs))}
+func newAddrTable[V any](u *universe) addrTable[V] {
+	return addrTable[V]{u: u, dense: make([]V, len(u.addrs))}
 }
 
 // extraSlot returns the index of a in the overflow, or where it would be
@@ -37,7 +83,7 @@ func (t *addrTable[V]) extraSlot(a mem.Addr) (int, bool) {
 
 // get returns the value at a; an unset overflow location reads as zero.
 func (t *addrTable[V]) get(a mem.Addr) V {
-	if i, ok := slices.BinarySearch(t.addrs, a); ok {
+	if i, ok := t.u.slot(a); ok {
 		return t.dense[i]
 	}
 	if i, ok := t.extraSlot(a); ok {
@@ -49,7 +95,7 @@ func (t *addrTable[V]) get(a mem.Addr) V {
 
 // set stores v at a, giving an overflow location its slot on first use.
 func (t *addrTable[V]) set(a mem.Addr, v V) {
-	if i, ok := slices.BinarySearch(t.addrs, a); ok {
+	if i, ok := t.u.slot(a); ok {
 		t.dense[i] = v
 		return
 	}
@@ -68,7 +114,7 @@ func (t *addrTable[V]) len() int { return len(t.dense) + len(t.extra) }
 // order, then the overflow in address order.
 func (t *addrTable[V]) at(i int) (mem.Addr, V) {
 	if i < len(t.dense) {
-		return t.addrs[i], t.dense[i]
+		return t.u.addrs[i], t.dense[i]
 	}
 	e := t.extra[i-len(t.dense)]
 	return e.addr, e.v
@@ -83,11 +129,40 @@ func (t *addrTable[V]) setAt(i int, v V) {
 	}
 }
 
+// slot returns a's slot (see at) and whether a has one. For an overflow
+// location not yet set it returns the slot that setting it would give it.
+func (t *addrTable[V]) slot(a mem.Addr) (int, bool) {
+	if i, ok := t.u.slot(a); ok {
+		return i, true
+	}
+	i, ok := t.extraSlot(a)
+	return len(t.dense) + i, ok
+}
+
+// getSlot returns the value at a, given a's slot i in another table over the
+// same universe. A static slot is read by index; only an overflow location,
+// whose slot the two tables may number differently, is looked up.
+func (t *addrTable[V]) getSlot(i int, a mem.Addr) V {
+	if i < len(t.dense) {
+		return t.dense[i]
+	}
+	return t.get(a)
+}
+
+// setSlot stores v at a, given a's slot i as for getSlot.
+func (t *addrTable[V]) setSlot(i int, a mem.Addr, v V) {
+	if i < len(t.dense) {
+		t.dense[i] = v
+	} else {
+		t.set(a, v)
+	}
+}
+
 // copyInto makes d an independent copy of t, writing into d's existing
 // slices. The values themselves are copied by assignment, so a table of
 // slices shares their backing arrays.
 func (t *addrTable[V]) copyInto(d *addrTable[V]) {
-	d.addrs = t.addrs
+	d.u = t.u
 	d.dense = append(d.dense[:0], t.dense...)
 	d.extra = append(d.extra[:0], t.extra...)
 }

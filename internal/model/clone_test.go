@@ -262,3 +262,55 @@ loop1:
 		}
 	}
 }
+
+// TestKeyLengthIndependentOfHistory pins the KeyResult key's length, and the
+// SC machine's KeyExecution key's, equal in two states with equal threads and
+// memory, one after 10 recorded reads and one after 30: a key holds one digest
+// per history chain instead of the chain. The fully rendered key, which lists
+// the chains, must grow between the two, or the states would not differ in
+// history at all.
+func TestKeyLengthIndependentOfHistory(t *testing.T) {
+	p := program.MustParse(`
+name: key-length
+init: x=0 y=0 s=0
+thread:
+loop0:
+    ld r1, y
+    sync.ld r2, s
+    beq r1, 0, loop0
+thread:
+    st x, 1
+    sync.st s, 1
+    st y, 1
+`).Program
+	for _, f := range commuteFactories() {
+		m := f.mk(p)
+		modes := []KeyMode{KeyResult}
+		if f.name == "SC" {
+			modes = append(modes, KeyExecution)
+		}
+		var state []string
+		var lens, fullLens [][]int
+		for _, n := range []int{10, 30} {
+			stepQuiescent(t, m, n)
+			state = append(state, Key(m, KeyState))
+			var l, fl []int
+			for _, mode := range modes {
+				l = append(l, len(Key(m, mode)))
+				fl = append(fl, len(Key(m, mode|keyFull)))
+			}
+			lens, fullLens = append(lens, l), append(fullLens, fl)
+		}
+		if state[0] != state[1] {
+			t.Fatalf("%s: the states after 10 and 30 reads differ in threads or memory", f.name)
+		}
+		for i, mode := range modes {
+			if lens[0][i] != lens[1][i] {
+				t.Errorf("%s: mode %d key is %d bytes after 10 reads but %d after 30", f.name, mode, lens[0][i], lens[1][i])
+			}
+			if fullLens[0][i] >= fullLens[1][i] {
+				t.Errorf("%s: mode %d full key did not grow from 10 reads (%d bytes) to 30 (%d)", f.name, mode, fullLens[0][i], fullLens[1][i])
+			}
+		}
+	}
+}

@@ -54,7 +54,7 @@ func newCopies(nproc int, init addrTable[mem.Value]) *copies {
 	c := &copies{nproc: nproc, outstanding: make([]int, nproc), window: DefaultWindow}
 	for p := 0; p < nproc; p++ {
 		c.data = append(c.data, init.clone())
-		c.stamp = append(c.stamp, newAddrTable[int64](init.addrs))
+		c.stamp = append(c.stamp, newAddrTable[int64](init.u))
 	}
 	return c
 }

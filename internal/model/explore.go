@@ -36,11 +36,14 @@ type Explorer struct {
 	// and for the differential tests that pin POR soundness.
 	FullExploration bool
 	// FullKeys, when true, deduplicates on the full canonical key encoding
-	// instead of its 128-bit digest. The digest path is what production
-	// sweeps use (constant memory per visited state, no per-state
-	// allocation); the full-key path is collision-free by construction and
-	// exists as a debug cross-check — tests explore both ways and assert
-	// identical Stats.
+	// instead of its 128-bit digest, and has the machines render every
+	// recorded read and sync and every register into that encoding, where
+	// the default keys hold one digest per history chain and only the
+	// registers a thread writes. The digest path is what production sweeps
+	// use (constant memory per visited state, no per-state allocation, a key
+	// whose cost does not grow with history); the full-key path is
+	// collision-free by construction and exists as a debug cross-check —
+	// tests explore both ways and assert identical Stats.
 	FullKeys bool
 	// Workers selects the exploration width, passed through to the kernel:
 	// 0 or 1 serial, n > 1 that many workers sharing one search, negative
@@ -161,7 +164,11 @@ func (x *Explorer) visit(m Machine, race *raceProbe, fn func(Machine) bool) (Sta
 		// only see sync effects through their memory locations.
 		VisibleSyncOrder: x.Mode >= KeyExecution,
 	}
-	sys := &machineSystem{m: m, mode: x.Mode, maxTraceOps: x.MaxTraceOps, race: race}
+	mode := x.Mode
+	if x.FullKeys {
+		mode |= keyFull
+	}
+	sys := &machineSystem{m: m, mode: mode, maxTraceOps: x.MaxTraceOps, race: race}
 	return k.Run(sys, func(s explore.TransitionSystem) bool {
 		return fn(s.(*machineSystem).m)
 	})

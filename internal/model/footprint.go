@@ -1,8 +1,6 @@
 package model
 
 import (
-	"slices"
-
 	"weakorder/internal/explore"
 	"weakorder/internal/mem"
 	"weakorder/internal/program"
@@ -15,21 +13,21 @@ import (
 // it with their dynamic half (buffered writes, in-flight messages, pending
 // propagations) in Footprints.
 type progFootprints struct {
-	// addrs is the program's static universe, sorted: an address's dense bit
-	// index is its slot. Nil when the universe exceeds 64 locations, in which
-	// case every footprint degrades to Wild (sound: merely unreduced).
-	addrs []mem.Addr
+	// univ is the program's static universe: an address's dense bit index is
+	// its slot. Nil when the universe exceeds 64 locations, in which case
+	// every footprint degrades to Wild (sound: merely unreduced).
+	univ *universe
 	// byPC[t][pc] is thread t's future footprint when its PC is pc.
 	byPC [][]explore.Footprint
 }
 
-func computeFootprints(p *program.Program, addrs []mem.Addr) *progFootprints {
+func computeFootprints(p *program.Program, u *universe) *progFootprints {
 	f := &progFootprints{}
-	if len(addrs) <= 64 {
-		f.addrs = addrs
+	if len(u.addrs) <= 64 {
+		f.univ = u
 	}
 	for _, code := range p.Threads {
-		f.byPC = append(f.byPC, fpByPC(code, f.addrs))
+		f.byPC = append(f.byPC, fpByPC(code, f.univ))
 	}
 	return f
 }
@@ -48,7 +46,7 @@ func orFP(dst *explore.Footprint, src explore.Footprint) {
 // control-flow graph (branches make it cyclic, so a single pass does not
 // suffice). Register-indexed addresses cannot be resolved statically and
 // degrade the footprint to Wild.
-func fpByPC(code program.Code, addrs []mem.Addr) []explore.Footprint {
+func fpByPC(code program.Code, u *universe) []explore.Footprint {
 	own := make([]explore.Footprint, len(code))
 	for i, in := range code {
 		op, ok := in.MemOp()
@@ -56,10 +54,10 @@ func fpByPC(code program.Code, addrs []mem.Addr) []explore.Footprint {
 			continue
 		}
 		fp := &own[i]
-		if in.UseAddrReg || addrs == nil {
+		if in.UseAddrReg || u == nil {
 			fp.Wild = true
 		} else {
-			slot, _ := slices.BinarySearch(addrs, in.Addr)
+			slot, _ := u.slot(in.Addr)
 			bit := uint64(1) << slot
 			if op.Reads() {
 				fp.Reads |= bit
@@ -131,7 +129,10 @@ func (b *base) appendThreadFootprints(buf []explore.AgentFootprints) []explore.A
 // the address universe overflowed 64 locations or the address is outside the
 // static universe, in which case the caller must degrade to Wild.
 func (b *base) fpAddrBit(a mem.Addr) (uint64, bool) {
-	i, ok := slices.BinarySearch(b.fp.addrs, a)
+	if b.fp.univ == nil {
+		return 0, false
+	}
+	i, ok := b.fp.univ.slot(a)
 	if !ok {
 		return 0, false
 	}

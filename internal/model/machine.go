@@ -38,6 +38,7 @@ package model
 import (
 	"fmt"
 
+	"weakorder/internal/digest"
 	"weakorder/internal/explore"
 	"weakorder/internal/mem"
 	"weakorder/internal/program"
@@ -103,6 +104,14 @@ const (
 	KeyExecution
 )
 
+// keyFull is the KeyMode bit that Explorer adds under FullKeys. It asks the
+// machine for the fully rendered key: every recorded read and sync listed
+// and every register of every thread, where the default key holds one digest
+// per history chain and only the registers the program writes. The two
+// forms tell the same states apart; the full form is collision-free by
+// construction, so it stays the oracle of the digest form.
+const keyFull KeyMode = 1 << 7
+
 // Machine is an operational memory-system model under exploration.
 type Machine interface {
 	// Name identifies the model in reports and tables. It is for display
@@ -129,8 +138,10 @@ type Machine interface {
 	Done() bool
 	// AppendKey appends a canonical binary encoding of the state for
 	// deduplication to key and returns the extended slice. The encoding is
-	// prefix-free for a fixed program, so two distinct states never encode
-	// to the same bytes; the explorer hashes it rather than storing it.
+	// prefix-free for a fixed program, so two distinct states encode to the
+	// same bytes only if two of their history chains' 128-bit digests
+	// collide; with the keyFull bit, which lists the chains, never. The
+	// explorer hashes it rather than storing it.
 	AppendKey(mode KeyMode, key []byte) []byte
 	// Final returns the final state (registers and memory); meaningful once
 	// Done.
@@ -193,14 +204,19 @@ type base struct {
 	name    string
 	prog    *program.Program
 	threads []program.Thread
-	// addrs is the program's static address universe, sorted: the dense
-	// slots of every addrTable. Shared by all clones, never written.
-	addrs []mem.Addr
+	// univ is the program's static address universe: the dense slots of
+	// every addrTable. regs holds, per thread, the registers its snapshot
+	// renders: program.Code.LiveRegs, above which a register stays zero. Both
+	// are shared by all clones, never written.
+	univ *universe
+	regs []int
 	// hist is the newest completed access (nil before the first); the
 	// execution history is the chain behind it, shared with every clone
-	// taken on the way. lastRead holds, per processor, its newest read.
-	hist     *histNode
-	lastRead []*histNode
+	// taken on the way. reads holds, per processor, its newest read and the
+	// digest of its read chain; syncSum digests the sync chain.
+	hist    *histNode
+	reads   []readChain
+	syncSum digest.Sum
 	// fp holds the immutable static footprints of the program, shared by all
 	// clones (cloneBase copies the pointer).
 	fp *progFootprints
@@ -208,32 +224,34 @@ type base struct {
 
 func newBase(name string, p *program.Program) base {
 	b := base{
-		name:     name,
-		prog:     p,
-		addrs:    p.Addrs(),
-		lastRead: make([]*histNode, p.NumThreads()),
+		name:  name,
+		prog:  p,
+		univ:  newUniverse(p.Addrs()),
+		reads: make([]readChain, p.NumThreads()),
 	}
-	b.fp = computeFootprints(p, b.addrs)
+	b.fp = computeFootprints(p, b.univ)
 	for _, code := range p.Threads {
 		b.threads = append(b.threads, program.NewThread(code))
+		b.regs = append(b.regs, code.LiveRegs())
 	}
 	return b
 }
 
 // copyBase copies the per-thread state into d, reusing d's slices; the
-// history nodes and everything static are shared.
+// history nodes and everything static are shared. d's slices are taken before
+// the struct copy, which would otherwise leave d sharing b's.
 func (b *base) copyBase(d *base) {
-	threads, lastRead := d.threads, d.lastRead
+	threads, reads := d.threads, d.reads
 	*d = *b
 	d.threads = append(threads[:0], b.threads...)
-	d.lastRead = append(lastRead[:0], b.lastRead...)
+	d.reads = append(reads[:0], b.reads...)
 }
 
 // initialMemory returns the program's initial memory: every location of the
 // static universe holds its Init value (zero when absent).
 func (b *base) initialMemory() addrTable[mem.Value] {
-	t := newAddrTable[mem.Value](b.addrs)
-	for i, a := range b.addrs {
+	t := newAddrTable[mem.Value](b.univ)
+	for i, a := range b.univ.addrs {
 		t.dense[i] = b.prog.Init[a]
 	}
 	return t
@@ -302,18 +320,18 @@ func (b *base) finalState(memory *addrTable[mem.Value]) *program.FinalState {
 // address order; the key lists their merge.
 func (b *base) appendResultKey(key []byte, memory *addrTable[mem.Value]) []byte {
 	var chain [64]*histNode
-	for p, rd := range b.lastRead {
+	for p := range b.reads {
 		nodes := chain[:0]
-		for ; rd != nil; rd = rd.prevRead {
+		for rd := b.reads[p].last; rd != nil; rd = rd.prevRead {
 			nodes = append(nodes, rd)
 		}
 		for i := len(nodes) - 1; i >= 0; i-- {
-			key = mem.AppendKeyRead(key, mem.ReadKey{Proc: mem.ProcID(p), Index: nodes[i].opIndex}, nodes[i].acc.Value)
+			key = mem.AppendKeyRead(key, mem.ReadKey{Proc: mem.ProcID(p), Index: int(nodes[i].opIndex)}, nodes[i].acc.Value)
 		}
 	}
 	key = mem.AppendKeyMemory(key)
 	extra := memory.extra
-	for i, a := range memory.addrs {
+	for i, a := range memory.u.addrs {
 		for len(extra) > 0 && extra[0].addr < a {
 			key = mem.AppendKeyFinal(key, extra[0].addr, extra[0].v)
 			extra = extra[1:]
@@ -330,15 +348,15 @@ func (b *base) appendResultKey(key []byte, memory *addrTable[mem.Value]) []byte 
 // view.
 func (b *base) result(memory *addrTable[mem.Value]) mem.Result {
 	reads := 0
-	for _, rd := range b.lastRead {
-		if rd != nil {
-			reads += rd.reads
+	for _, rc := range b.reads {
+		if rc.last != nil {
+			reads += int(rc.last.reads)
 		}
 	}
 	r := mem.Result{Reads: make(map[mem.ReadKey]mem.Value, reads), Final: make(map[mem.Addr]mem.Value, memory.len())}
-	for p, rd := range b.lastRead {
-		for ; rd != nil; rd = rd.prevRead {
-			r.Reads[mem.ReadKey{Proc: mem.ProcID(p), Index: rd.opIndex}] = rd.acc.Value
+	for p := range b.reads {
+		for rd := b.reads[p].last; rd != nil; rd = rd.prevRead {
+			r.Reads[mem.ReadKey{Proc: mem.ProcID(p), Index: int(rd.opIndex)}] = rd.acc.Value
 		}
 	}
 	for i := 0; i < memory.len(); i++ {

@@ -156,12 +156,12 @@ func newRelaxed(p *program.Program, mode relaxMode, name string) *Relaxed {
 	}
 	m.memory = m.initialMemory()
 	if mode == relaxRMO {
-		m.hist = newAddrTable[[]mem.Value](m.addrs)
+		m.hist = newAddrTable[[]mem.Value](m.univ)
 		for i, v := range m.memory.dense {
 			m.hist.dense[i] = []mem.Value{v}
 		}
 		for range m.threads {
-			m.seen = append(m.seen, newAddrTable[int](m.addrs))
+			m.seen = append(m.seen, newAddrTable[int](m.univ))
 		}
 	}
 	return m
@@ -209,16 +209,17 @@ func (m *Relaxed) delayBlocked(p int) bool {
 	return false
 }
 
-// ensureHist returns the history of a, creating it for an overflow location
-// (register-indexed accesses can reach locations outside the static
-// universe). Every cursor of a new history reads as 0.
-func (m *Relaxed) ensureHist(a mem.Addr) []mem.Value {
-	h := m.hist.get(a)
-	if len(h) == 0 {
-		h = []mem.Value{m.memory.get(a)}
-		m.hist.set(a, h)
+// ensureHist returns the slot and the history of a, creating the history for
+// an overflow location (register-indexed accesses can reach locations
+// outside the static universe). Every cursor of a new history reads as 0.
+// The slot indexes the cursor tables too (see addrTable.getSlot).
+func (m *Relaxed) ensureHist(a mem.Addr) (int, []mem.Value) {
+	i, ok := m.hist.slot(a)
+	if !ok {
+		m.hist.set(a, []mem.Value{m.memory.get(a)})
 	}
-	return h
+	_, h := m.hist.at(i)
+	return i, h
 }
 
 // commit applies one retired or atomic write to memory, extending the RMO
@@ -232,33 +233,32 @@ func (m *Relaxed) commit(p int, a mem.Addr, v mem.Value) {
 	if m.mode != relaxRMO {
 		return
 	}
-	h := m.ensureHist(a)
+	i, h := m.ensureHist(a)
 	if v != h[len(h)-1] {
 		// Capped, so the append reallocates rather than write into an
 		// array a clone shares.
 		h = append(h[:len(h):len(h)], v)
-		m.hist.set(a, h)
+		m.hist.setAt(i, h)
 	}
-	m.seen[p].set(a, len(h)-1)
-	m.pruneHist(a)
+	m.seen[p].setSlot(i, a, len(h)-1)
+	m.pruneHist(i)
 }
 
-// pruneHist drops history entries of a below every cursor; they can never be
-// observed again, and keeping them would make equivalent states key-distinct.
-func (m *Relaxed) pruneHist(a mem.Addr) {
-	h := m.hist.get(a)
-	min := len(h) - 1
+// pruneHist drops the entries of history slot i below every cursor; they can
+// never be observed again, and keeping them would make equivalent states
+// key-distinct.
+func (m *Relaxed) pruneHist(i int) {
+	a, h := m.hist.at(i)
+	low := len(h) - 1
 	for p := range m.seen {
-		if s := m.seen[p].get(a); s < min {
-			min = s
-		}
+		low = min(low, m.seen[p].getSlot(i, a))
 	}
-	if min <= 0 {
+	if low <= 0 {
 		return
 	}
-	m.hist.set(a, h[min:])
+	m.hist.setAt(i, h[low:])
 	for p := range m.seen {
-		m.seen[p].set(a, m.seen[p].get(a)-min)
+		m.seen[p].setSlot(i, a, m.seen[p].getSlot(i, a)-low)
 	}
 }
 
@@ -331,8 +331,8 @@ func (m *Relaxed) Transitions(ts []Transition) []Transition {
 				ts = append(ts, Transition{Kind: TExec, Proc: p})
 				continue
 			}
-			h := m.ensureHist(req.Addr)
-			base := m.seen[p].get(req.Addr)
+			i, h := m.ensureHist(req.Addr)
+			base := m.seen[p].getSlot(i, req.Addr)
 			for off := 0; off < len(h)-base; off++ {
 				ts = append(ts, Transition{Kind: TExec, Proc: p, Aux: off})
 			}
@@ -378,14 +378,14 @@ func (m *Relaxed) Apply(t Transition) error {
 				m.resolve(t.Proc, req, m.memory.get(req.Addr), 0)
 				return nil
 			}
-			h := m.ensureHist(req.Addr)
-			idx := m.seen[t.Proc].get(req.Addr) + t.Aux
+			i, h := m.ensureHist(req.Addr)
+			idx := m.seen[t.Proc].getSlot(i, req.Addr) + t.Aux
 			if idx < 0 || idx >= len(h) {
 				return fmt.Errorf("rmo: P%d read of x%d with out-of-range version offset %d", t.Proc, req.Addr, t.Aux)
 			}
 			v := h[idx]
-			m.seen[t.Proc].set(req.Addr, idx)
-			m.pruneHist(req.Addr)
+			m.seen[t.Proc].setSlot(i, req.Addr, idx)
+			m.pruneHist(i)
 			m.resolve(t.Proc, req, v, 0)
 			return nil
 		default: // synchronization: buffer drained; full fence + atomic access
@@ -403,8 +403,8 @@ func (m *Relaxed) Apply(t Transition) error {
 				// the sync cannot appear to have executed before it.
 				for i := 0; i < m.hist.len(); i++ {
 					a, h := m.hist.at(i)
-					m.seen[t.Proc].set(a, len(h)-1)
-					m.pruneHist(a)
+					m.seen[t.Proc].setSlot(i, a, len(h)-1)
+					m.pruneHist(i)
 				}
 			}
 			m.resolve(t.Proc, req, old, wv)
@@ -471,7 +471,7 @@ func (m *Relaxed) AppendKey(mode KeyMode, key []byte) []byte {
 				key = binary.AppendVarint(key, int64(v))
 			}
 			for p := range m.seen {
-				key = binary.AppendUvarint(key, uint64(m.seen[p].get(a)))
+				key = binary.AppendUvarint(key, uint64(m.seen[p].getSlot(i, a)))
 			}
 		}
 	}

@@ -99,7 +99,7 @@ func newWO(p *program.Program, mode woMode, name string) *WeakOrdered {
 		base: b,
 		c:    newCopies(p.NumThreads(), b.initialMemory()),
 		mode: mode,
-		resv: newAddrTable[int](b.addrs),
+		resv: newAddrTable[int](b.univ),
 	}
 }
 

@@ -192,6 +192,21 @@ func (in Instr) String() string {
 // Code is one thread's instruction sequence.
 type Code []Instr
 
+// LiveRegs returns 1 + the highest register an instruction of c writes
+// (mov, add, sub, mul, ld, sync.ld, sync.rmw), or 0 when none writes one.
+// Every register from LiveRegs on holds zero for the whole run, so a state
+// key need render only the registers below it (Thread.AppendSnapshot).
+func (c Code) LiveRegs() int {
+	n := 0
+	for _, in := range c {
+		switch in.Op {
+		case IMov, IAdd, ISub, IMul, ILoad, ISyncLoad, ISyncRMW:
+			n = max(n, int(in.Rd)+1)
+		}
+	}
+	return n
+}
+
 // Program is a complete multithreaded program plus initial memory state.
 type Program struct {
 	Name    string

@@ -176,7 +176,8 @@ func (t *Thread) operand(o Operand) mem.Value {
 }
 
 // Snapshot returns a compact, canonical encoding of the thread state,
-// suitable for hashing machine states during exhaustive exploration.
+// suitable for hashing machine states during exhaustive exploration. It
+// renders every register: AppendSnapshot(nil, NumRegs).
 //
 // OpIndex is deliberately excluded: it is a history counter, not
 // future-relevant state, and including it would make every iteration of a
@@ -184,15 +185,18 @@ func (t *Thread) operand(o Operand) mem.Value {
 // unbounded ones. Explorations that must distinguish histories key on the
 // machine's read/sync logs instead (model.KeyResult / model.KeyExecution).
 func (t *Thread) Snapshot() string {
-	return string(t.AppendSnapshot(make([]byte, 0, 8+NumRegs*4)))
+	return string(t.AppendSnapshot(make([]byte, 0, 8+NumRegs*4), NumRegs))
 }
 
-// AppendSnapshot appends the Snapshot encoding to b and returns the extended
-// slice, so state-key construction can reuse one buffer across an entire
-// exploration instead of allocating a string per state. The encoding is a
-// self-delimiting varint sequence (prefix-free given the fixed NumRegs), so
-// concatenating snapshots of successive threads remains unambiguous.
-func (t *Thread) AppendSnapshot(b []byte) []byte {
+// AppendSnapshot appends the thread's PC, its halted and pending flags and
+// registers 0 to regs-1 to b and returns the extended slice, so state-key
+// construction can reuse one buffer across an entire exploration instead of
+// allocating a string per state. A state key passes its code's LiveRegs,
+// since the registers above it stay zero, or NumRegs for every register.
+// The encoding is a self-delimiting varint sequence, prefix-free for a fixed
+// regs, so concatenating snapshots of successive threads, each rendered at
+// its own fixed regs, remains unambiguous.
+func (t *Thread) AppendSnapshot(b []byte, regs int) []byte {
 	b = appendInt(b, int64(t.PC))
 	if t.Halted {
 		b = append(b, 1)
@@ -204,7 +208,7 @@ func (t *Thread) AppendSnapshot(b []byte) []byte {
 	} else {
 		b = append(b, 0)
 	}
-	for _, r := range t.Regs {
+	for _, r := range t.Regs[:regs] {
 		b = appendInt(b, int64(r))
 	}
 	return b

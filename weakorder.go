@@ -30,6 +30,8 @@
 package weakorder
 
 import (
+	"fmt"
+
 	"weakorder/internal/conditions"
 	"weakorder/internal/core"
 	"weakorder/internal/doall"
@@ -193,25 +195,35 @@ const (
 	ModelWODef2DRF1  HardwareModel = "WO-def2-drf1"
 )
 
-// NewMachine instantiates an operational model for the program.
+// NewMachine instantiates an operational model for the program. It panics on
+// an unknown model, which Outcomes and VerifyContract return as an error.
 func NewMachine(m HardwareModel, p *Program) Machine {
+	mach, err := newMachine(m, p)
+	if err != nil {
+		panic(err)
+	}
+	return mach
+}
+
+// newMachine is NewMachine with an unknown model reported as an error.
+func newMachine(m HardwareModel, p *Program) (Machine, error) {
 	switch m {
 	case ModelSC:
-		return model.NewSC(p)
+		return model.NewSC(p), nil
 	case ModelWriteBuffer:
-		return model.NewWriteBuffer(p, "")
+		return model.NewWriteBuffer(p, ""), nil
 	case ModelNetwork:
-		return model.NewNetwork(p)
+		return model.NewNetwork(p), nil
 	case ModelNonAtomic:
-		return model.NewNonAtomic(p)
+		return model.NewNonAtomic(p), nil
 	case ModelWODef1:
-		return model.NewWODef1(p)
+		return model.NewWODef1(p), nil
 	case ModelWODef2:
-		return model.NewWODef2(p)
+		return model.NewWODef2(p), nil
 	case ModelWODef2DRF1:
-		return model.NewWODef2DRF1(p)
+		return model.NewWODef2DRF1(p), nil
 	default:
-		panic("weakorder: unknown hardware model " + string(m))
+		return nil, fmt.Errorf("weakorder: unknown hardware model %q", string(m))
 	}
 }
 
@@ -220,14 +232,23 @@ func newExplorer() *model.Explorer { return &model.Explorer{MaxTraceOps: 64} }
 // Outcomes enumerates the results the hardware model can produce for the
 // program.
 func Outcomes(m HardwareModel, p *Program) (OutcomeSet, error) {
-	out, _, err := newExplorer().Outcomes(NewMachine(m, p))
+	mach, err := newMachine(m, p)
+	if err != nil {
+		return nil, err
+	}
+	out, _, err := newExplorer().Outcomes(mach)
 	return out, err
 }
 
 // VerifyContract performs Definition 2's check for one program on one
 // hardware model: it decides DRF0, enumerates both outcome sets, and reports
-// whether every hardware outcome is sequentially consistent.
+// whether every hardware outcome is sequentially consistent. An unknown model
+// is reported before anything is explored.
 func VerifyContract(m HardwareModel, p *Program) (*ContractReport, error) {
+	mach, err := newMachine(m, p)
+	if err != nil {
+		return nil, err
+	}
 	rep, err := CheckDRF0(p)
 	if err != nil {
 		return nil, err
@@ -236,7 +257,7 @@ func VerifyContract(m HardwareModel, p *Program) (*ContractReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	hw, err := Outcomes(m, p)
+	hw, _, err := newExplorer().Outcomes(mach)
 	if err != nil {
 		return nil, err
 	}
