@@ -2,10 +2,17 @@ package weakorder_test
 
 import (
 	"errors"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"weakorder"
+	"weakorder/internal/campaign"
+	"weakorder/internal/core"
+	"weakorder/internal/litmus"
+	"weakorder/internal/model"
+	"weakorder/internal/program"
 )
 
 // TestNewMachineAllModels instantiates every operational model through the
@@ -29,6 +36,71 @@ func TestNewMachineAllModels(t *testing.T) {
 		if err := mach.Apply(ts[0]); err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
+	}
+}
+
+// TestVerifyContractMatchesComposition checks VerifyContract's single SC
+// pass against the composition it replaced, kept here as the oracle: the
+// DRF0 verdict from an enumeration of every idealized execution, SCOutcomes
+// and Outcomes, all at the facade's 64-operation trace bound. Every field of
+// the ContractReport must match, for every HardwareModel on the litmus corpus
+// and 64 campaign programs. A program whose enumeration exceeds oracleStates
+// distinct states is skipped.
+func TestVerifyContractMatchesComposition(t *testing.T) {
+	if testing.Short() {
+		t.Skip("enumerates the idealized executions of 80 programs")
+	}
+	const oracleStates = 400_000
+	progs := make([]*program.Program, 0, 80)
+	for _, lt := range litmus.Corpus() {
+		progs = append(progs, lt.Prog)
+	}
+	for i := 0; i < 64; i++ {
+		_, p := campaign.ProgramFor(1, i)
+		progs = append(progs, p)
+	}
+	models := []weakorder.HardwareModel{
+		weakorder.ModelSC, weakorder.ModelWriteBuffer, weakorder.ModelNetwork,
+		weakorder.ModelNonAtomic, weakorder.ModelWODef1, weakorder.ModelWODef2,
+		weakorder.ModelWODef2DRF1,
+	}
+	var skipped atomic.Int32
+	t.Run("programs", func(t *testing.T) {
+		for _, p := range progs {
+			t.Run(p.Name, func(t *testing.T) {
+				t.Parallel()
+				enum := &model.Enumerator{Prog: p, Explorer: &model.Explorer{MaxTraceOps: 64, MaxStates: oracleStates}}
+				drf, err := core.CheckProgram(enum, core.DRF0{}, 0)
+				if errors.Is(err, model.ErrStateBudget) {
+					skipped.Add(1)
+					t.Skipf("enumeration exceeds %d states", oracleStates)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				sc, err := weakorder.SCOutcomes(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range models {
+					hw, err := weakorder.Outcomes(m, p)
+					if err != nil {
+						t.Fatalf("%s: %v", m, err)
+					}
+					want := core.CheckContract(p.Name, string(m), drf.Obeys(), sc, hw)
+					got, err := weakorder.VerifyContract(m, p)
+					if err != nil {
+						t.Fatalf("%s: %v", m, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: VerifyContract = %+v, the composition gives %+v", m, got, want)
+					}
+				}
+			})
+		}
+	})
+	if n := skipped.Load(); n > 1 {
+		t.Errorf("%d of %d programs exceed %d states in enumeration, want at most 1", n, len(progs), oracleStates)
 	}
 }
 

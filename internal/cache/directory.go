@@ -123,10 +123,10 @@ func (s nodeSet) appendExcept(dst []interconnect.NodeID, skip interconnect.NodeI
 }
 
 // DirShard is one home node: a full-map directory plus backing memory for
-// the slice of the address space it owns. A single-shard machine gives it the
-// whole address space; NewShardedDirectory composes several over an address
-// partition. Either way it is the complete, unmodified protocol engine — the
-// sharding layer above it only routes.
+// the slice of the address space it owns. NewShardedDirectory composes one or
+// more over an address partition; a lone shard owns the whole address space.
+// Either way it is the complete, unmodified protocol engine — the sharding
+// layer above it only routes.
 type DirShard struct {
 	ID     interconnect.NodeID
 	engine *sim.Engine
@@ -613,19 +613,3 @@ func (d *DirShard) Owner(a mem.Addr) interconnect.NodeID {
 
 // occBuckets is the request-occupancy histogram width (see the occ field).
 const occBuckets = 8
-
-// Counters implements Directory: a lone shard's aggregate is its own bag.
-func (d *DirShard) Counters() *stats.Counters { return d.Stats }
-
-// ShardCounters implements Directory.
-func (d *DirShard) ShardCounters() []*stats.Counters { return []*stats.Counters{d.Stats} }
-
-// Shards implements Directory.
-func (d *DirShard) Shards() int { return 1 }
-
-// Occupancy implements Directory: one histogram per shard.
-func (d *DirShard) Occupancy() [][]uint64 {
-	h := make([]uint64, occBuckets)
-	copy(h, d.occ[:])
-	return [][]uint64{h}
-}

@@ -1,39 +1,14 @@
 package cache
 
 import (
+	"slices"
+
 	"weakorder/internal/interconnect"
 	"weakorder/internal/mem"
 	"weakorder/internal/metrics"
 	"weakorder/internal/sim"
 	"weakorder/internal/stats"
 )
-
-// Directory is the home-side interface the machine composes against: either a
-// single *DirShard owning the whole address space or a *ShardedDirectory
-// spreading it over several home nodes. Everything behind it is the same
-// unmodified protocol engine; the interface only exists so the machine's
-// wiring, fault plumbing, and final-state collection are shard-count
-// agnostic.
-type Directory interface {
-	SetLenient(on bool)
-	SetQueueLimit(n int)
-	EnableWatchdog(interval, timeout sim.Time)
-	SetWatchdogGrace(grace sim.Time)
-	SetMetrics(rec *metrics.Recorder)
-	// MemValue returns the home memory value for final-state collection.
-	MemValue(a mem.Addr) (mem.Value, bool)
-	// Owner returns the current exclusive owner of a line (-1 none).
-	Owner(a mem.Addr) interconnect.NodeID
-	// Counters returns the protocol counters aggregated over all shards; for
-	// a single shard it is that shard's live bag.
-	Counters() *stats.Counters
-	// ShardCounters returns each shard's own counter bag, in shard order.
-	ShardCounters() []*stats.Counters
-	// Shards returns the shard count.
-	Shards() int
-	// Occupancy returns each shard's request-occupancy histogram.
-	Occupancy() [][]uint64
-}
 
 // ShardOf is the canonical deterministic address→shard mapping: the address's
 // integer value (exactly what AppendKey serializes into state keys) modulo
@@ -47,7 +22,8 @@ func ShardOf(a mem.Addr, shards int) int {
 	return int(uint64(a) % uint64(shards))
 }
 
-// ShardedDirectory is N DirShards behind one Directory: shard i sits at
+// ShardedDirectory is the home side the machine composes against: N
+// DirShards, one when the directory is not sharded, where shard i sits at
 // fabric node base+i and owns every address with ShardOf(a, N) == i. Each
 // shard keeps its own request queues, watchdog, stats, and occupancy
 // histogram; there is no shared state between shards, so a fault-free
@@ -85,54 +61,54 @@ func (s *ShardedDirectory) shardFor(a mem.Addr) *DirShard {
 	return s.shards[ShardOf(a, len(s.shards))]
 }
 
-// SetLenient implements Directory.
+// SetLenient sets every shard lenient (see DirShard.SetLenient).
 func (s *ShardedDirectory) SetLenient(on bool) {
 	for _, d := range s.shards {
 		d.SetLenient(on)
 	}
 }
 
-// SetQueueLimit implements Directory.
+// SetQueueLimit bounds every shard's request queue.
 func (s *ShardedDirectory) SetQueueLimit(n int) {
 	for _, d := range s.shards {
 		d.SetQueueLimit(n)
 	}
 }
 
-// EnableWatchdog implements Directory: every shard runs its own watchdog over
-// its own lines.
+// EnableWatchdog starts a watchdog on every shard, over its own lines.
 func (s *ShardedDirectory) EnableWatchdog(interval, timeout sim.Time) {
 	for _, d := range s.shards {
 		d.EnableWatchdog(interval, timeout)
 	}
 }
 
-// SetWatchdogGrace implements Directory.
+// SetWatchdogGrace sets every shard's watchdog grace.
 func (s *ShardedDirectory) SetWatchdogGrace(grace sim.Time) {
 	for _, d := range s.shards {
 		d.SetWatchdogGrace(grace)
 	}
 }
 
-// SetMetrics implements Directory.
+// SetMetrics attaches every shard to the metrics recorder.
 func (s *ShardedDirectory) SetMetrics(rec *metrics.Recorder) {
 	for _, d := range s.shards {
 		d.SetMetrics(rec)
 	}
 }
 
-// MemValue implements Directory.
+// MemValue returns the home memory value for final-state collection.
 func (s *ShardedDirectory) MemValue(a mem.Addr) (mem.Value, bool) {
 	return s.shardFor(a).MemValue(a)
 }
 
-// Owner implements Directory.
+// Owner returns the current exclusive owner of a line (-1 none).
 func (s *ShardedDirectory) Owner(a mem.Addr) interconnect.NodeID {
 	return s.shardFor(a).Owner(a)
 }
 
-// Counters implements Directory: a fresh bag merging every shard in shard
-// order (deterministic registration order regardless of per-shard traffic).
+// Counters returns the protocol counters aggregated over all shards: a lone
+// shard's live bag, or a fresh bag merging every shard in shard order
+// (deterministic registration order regardless of per-shard traffic).
 func (s *ShardedDirectory) Counters() *stats.Counters {
 	if len(s.shards) == 1 {
 		return s.shards[0].Stats
@@ -144,7 +120,7 @@ func (s *ShardedDirectory) Counters() *stats.Counters {
 	return agg
 }
 
-// ShardCounters implements Directory.
+// ShardCounters returns each shard's own counter bag, in shard order.
 func (s *ShardedDirectory) ShardCounters() []*stats.Counters {
 	out := make([]*stats.Counters, len(s.shards))
 	for i, d := range s.shards {
@@ -153,14 +129,11 @@ func (s *ShardedDirectory) ShardCounters() []*stats.Counters {
 	return out
 }
 
-// Shards implements Directory.
-func (s *ShardedDirectory) Shards() int { return len(s.shards) }
-
-// Occupancy implements Directory.
+// Occupancy returns each shard's request-occupancy histogram.
 func (s *ShardedDirectory) Occupancy() [][]uint64 {
 	out := make([][]uint64, len(s.shards))
 	for i, d := range s.shards {
-		out[i] = d.Occupancy()[0]
+		out[i] = slices.Clone(d.occ[:])
 	}
 	return out
 }

@@ -192,10 +192,8 @@ type ExecutionEnumerator interface {
 // DESIGN.md §"Single-pass DRF0"). CheckProgram consults it for DRF0 with
 // maxViolations == 1, the plain question "does the program obey DRF0?".
 type DRF0Decider interface {
-	// DecideDRF0 returns the verdict, with at most one certified violation,
-	// or ok == false when this enumerator cannot decide directly, in which
-	// case CheckProgram enumerates.
-	DecideDRF0() (rep *ProgramReport, ok bool, err error)
+	// DecideDRF0 returns the verdict, with at most one certified violation.
+	DecideDRF0() (*ProgramReport, error)
 }
 
 // ProgramReport aggregates per-execution verdicts over all idealized
@@ -234,9 +232,7 @@ func (p *ProgramReport) String() string {
 func CheckProgram(enum ExecutionEnumerator, m SyncModel, maxViolations int) (*ProgramReport, error) {
 	if d, ok := enum.(DRF0Decider); ok && maxViolations == 1 {
 		if _, isDRF0 := m.(DRF0); isDRF0 {
-			if rep, decided, err := d.DecideDRF0(); decided {
-				return rep, err
-			}
+			return d.DecideDRF0()
 		}
 	}
 	rep := &ProgramReport{Model: m.Name()}

@@ -172,19 +172,15 @@ func TestCheckProgramStopsAtMaxViolations(t *testing.T) {
 // Executions == -1, so a test can tell which path CheckProgram took.
 type decidingEnum struct {
 	sliceEnum
-	decides bool
 }
 
-func (d decidingEnum) DecideDRF0() (*ProgramReport, bool, error) {
-	if !d.decides {
-		return nil, false, nil
-	}
-	return &ProgramReport{Model: "DRF0", Executions: -1}, true, nil
+func (d decidingEnum) DecideDRF0() (*ProgramReport, error) {
+	return &ProgramReport{Model: "DRF0", Executions: -1}, nil
 }
 
 // TestCheckProgramRoutesDRF0Decider pins when CheckProgram hands the verdict
-// to a DRF0Decider: DRF0 with maxViolations == 1 only, and only when the
-// decider accepts; everything else enumerates.
+// to a DRF0Decider: DRF0 with maxViolations == 1 only; everything else
+// enumerates.
 func TestCheckProgramRoutesDRF0Decider(t *testing.T) {
 	racy := sliceEnum{racyPair()}
 	cases := []struct {
@@ -193,10 +189,9 @@ func TestCheckProgramRoutesDRF0Decider(t *testing.T) {
 		max     int
 		decided bool
 	}{
-		{decidingEnum{racy, true}, DRF0{}, 1, true},
-		{decidingEnum{racy, true}, DRF0{}, 0, false},
-		{decidingEnum{racy, true}, DRF1{}, 1, false},
-		{decidingEnum{racy, false}, DRF0{}, 1, false},
+		{decidingEnum{racy}, DRF0{}, 1, true},
+		{decidingEnum{racy}, DRF0{}, 0, false},
+		{decidingEnum{racy}, DRF1{}, 1, false},
 	}
 	for i, c := range cases {
 		rep, err := CheckProgram(c.enum, c.m, c.max)

@@ -60,6 +60,8 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"weakorder/internal/digest"
 	"weakorder/internal/mem"
@@ -388,15 +390,57 @@ func (v *visitedSet) len() int {
 	return len(v.hashed)
 }
 
-// frame is one node of the explicit DFS stack: a system state, its enabled
-// steps, and the reduction bookkeeping as bitmasks over the step indices.
+// visitedStore is a run's visited store, the one part of a state's entry
+// that differs by width: serialVisited for a serial run, stripedVisited for a
+// parallel one. visit performs the transition of visitedSet.visit for the
+// state with the given key, and reports over when the state is new and the
+// budget is spent.
+type visitedStore interface {
+	visit(key []byte, all, skip uint64) (todo uint64, isNew, over bool)
+}
+
+// serialVisited is the visited store of a serial run: one visitedSet, whose
+// size is what the budget counts.
+type serialVisited struct {
+	visitedSet
+	reserve func() bool
+}
+
+func newSerialVisited(fullKeys bool, budget int) *serialVisited {
+	v := &serialVisited{visitedSet: newVisitedSet(fullKeys, initialVisited)}
+	v.reserve = func() bool { return v.len() < budget }
+	return v
+}
+
+func (v *serialVisited) visit(key []byte, all, skip uint64) (todo uint64, isNew, over bool) {
+	var sum digest.Sum
+	if v.full == nil {
+		sum = digest.Sum128(key)
+	}
+	return v.visitedSet.visit(key, sum, all, skip, v.reserve)
+}
+
+// frame is one state being expanded: the system state, its enabled steps,
+// and the reduction bookkeeping as bitmasks over the step indices.
 type frame struct {
 	sys   TransitionSystem
 	steps []Step
 	sleep uint64 // inherited sleepers: covered by an explored sibling subtree
-	todo  uint64 // steps still to expand from this visit
+	todo  uint64 // steps to expand from this visit
 	done  uint64 // steps already expanded in this visit
-	next  int    // scan position into steps
+	next  int    // the serial kernel's scan position into steps
+}
+
+// nextPending returns the index of the first step at or after i to expand
+// from this visit, or len(f.steps). The todo mask describes only the first 64
+// steps. A state with more is descended into only on its first visit, with
+// every step to expand (its masks are all-ones and its revisits carry
+// todo == 0), so indices past 63 are pending unconditionally.
+func (f *frame) nextPending(i int) int {
+	for i < len(f.steps) && i < 64 && f.todo&(uint64(1)<<i) == 0 {
+		i++
+	}
+	return i
 }
 
 // maskAll returns a mask with the low n bits set (n <= 64).
@@ -506,8 +550,8 @@ func (r *reducer) persistentMask(sys TransitionSystem, steps []Step) uint64 {
 // (deduplicated by canonical key). final returning false stops early. Run
 // reports statistics via the returned Stats even on early stop or error.
 //
-// The search is an explicit-stack depth-first traversal preserving the
-// pre-order of the step lists, so state spaces bounded only by MaxStates
+// The serial search is an explicit-stack depth-first traversal preserving
+// the pre-order of the step lists, so state spaces bounded only by MaxStates
 // cannot overflow the goroutine stack. Run allocates its working state
 // locally, so one Explorer may be shared by concurrent explorations.
 //
@@ -516,118 +560,197 @@ func (r *reducer) persistentMask(sys TransitionSystem, steps []Step) uint64 {
 // keep; every other state the search drops is recycled as the storage of a
 // later clone (see TransitionSystem.Clone).
 func (x *Explorer) Run(sys TransitionSystem, final func(TransitionSystem) bool) (Stats, error) {
-	if w, release := x.resolveWorkers(); w > 1 {
-		st, err := x.runParallel(sys, final, w)
-		release()
-		return st, err
-	} else {
-		release()
+	width, release := x.resolveWorkers()
+	defer release()
+	if width > 1 {
+		return x.runParallel(sys, final, width)
 	}
-	budget := x.budget()
-	st := Stats{}
-	visited := newVisitedSet(x.FullKeys, initialVisited)
-	reserve := func() bool { return visited.len() < budget }
-	red := &reducer{syncOrder: x.VisibleSyncOrder}
-	stop := false
-	var (
-		key []byte // reused across all states of this exploration
-		// stepBufs[d] holds the step list of the stack frame at depth d, its
-		// only user: a child entered at depth d exists only once the frame
-		// that was there has been popped.
-		stepBufs [][]Step
-		// childSleep is the sleep set of the child being entered; enter
-		// reads it only before it returns.
-		childSleep []Step
-		// free holds the states the search dropped, the storage of its next
-		// clones. The stack depth bounds it: a clone allocates only when it
-		// is empty.
-		free []TransitionSystem
-	)
+	r := &run{x: x, visited: newSerialVisited(x.FullKeys, x.budget()), final: final}
+	w := r.newWorker(0)
+	err := w.dfs(sys.Clone(nil))
+	return w.stats, err
+}
 
-	// enter processes one state entered at stack depth d: path bound, step
-	// computation, reduction masks, the visited-store transition, budget,
-	// terminal handling. It reports descend=true when the state has steps
-	// left to expand, and otherwise drops it onto the free list — except a
-	// terminal state handed to final, which the callback may keep.
-	enter := func(s TransitionSystem, sleep []Step, d int) (f frame, descend bool, err error) {
-		if s.Prune() {
-			st.Truncated++
-			free = append(free, s)
+// run is what one Run's workers share: the visited store, the stop flag, the
+// caller's final callback, and at widths above 1 the parallel frontier.
+type run struct {
+	x       *Explorer
+	visited visitedStore
+	stop    atomic.Bool
+	finalMu sync.Mutex // serializes the caller's final callback
+	final   func(TransitionSystem) bool
+	*pool   // nil in a serial run
+}
+
+// halt stops the run. The serial search and every parallel worker check the
+// flag before they expand another state, and parked workers are woken to see
+// it.
+func (r *run) halt() {
+	r.stop.Store(true)
+	if r.pool != nil {
+		r.wakeAll()
+	}
+}
+
+// worker is one goroutine's share of a run: the reducer's scratch, the
+// reused key and sleep buffers, the free list and the stats. A serial run has
+// one worker and a parallel run one per goroutine; both enter every state
+// through worker.enter.
+type worker struct {
+	run *run
+	red reducer
+	key []byte
+	// sleep is the sleep set of the child entered next; enter reads it only
+	// before it returns.
+	sleep []Step
+	// free holds the states this worker dropped, the storage of its next
+	// clones. In a parallel run states migrate between workers with the
+	// items that carry them, so a worker that drops more than it clones
+	// would hoard them without the maxFree cap.
+	free  []TransitionSystem
+	stats Stats
+
+	// A parallel worker's own scratch.
+	id    int
+	steps []Step     // the step list of the state being expanded
+	pubs  []workItem // the siblings of one expansion, awaiting publication
+}
+
+// maxFree caps a worker's free list.
+const maxFree = 64
+
+func (r *run) newWorker(id int) *worker {
+	return &worker{run: r, id: id, red: reducer{syncOrder: r.x.VisibleSyncOrder}}
+}
+
+// drop recycles a state the worker no longer references.
+func (w *worker) drop(s TransitionSystem) {
+	if len(w.free) < maxFree {
+		w.free = append(w.free, s)
+	}
+}
+
+// clone copies s into the storage of a dropped state, if the worker has one.
+func (w *worker) clone(s TransitionSystem) TransitionSystem {
+	var reuse TransitionSystem
+	if n := len(w.free); n > 0 {
+		reuse, w.free[n-1], w.free = w.free[n-1], nil, w.free[:n-1]
+	}
+	return s.Clone(reuse)
+}
+
+// apply performs step t on s and counts the transition.
+func (w *worker) apply(s TransitionSystem, t Step) error {
+	if err := s.Apply(t); err != nil {
+		return fmt.Errorf("explore: applying %s on %s: %w", t, s.Name(), err)
+	}
+	w.stats.Transitions++
+	return nil
+}
+
+// enter processes one state s, entered with the sleep set sleep, at either
+// width: path bound, step computation into *buf, reduction masks, the
+// visited-store transition, budget, terminal delivery. It returns the frame
+// to expand and true when s has steps left to expand. Otherwise it drops s
+// onto the free list, whichever worker cloned it, except a terminal state
+// handed to final, which the callback may keep. (A parallel work item is
+// handed over under its deque's mutex, so no other worker holds its state.)
+func (w *worker) enter(s TransitionSystem, sleep []Step, buf *[]Step) (frame, bool, error) {
+	r, x := w.run, w.run.x
+	if s.Prune() {
+		w.stats.Truncated++
+		w.drop(s)
+		return frame{}, false, nil
+	}
+	// Compute steps before keying: Steps may normalize lazy state so that
+	// equivalent states reached along different paths key identically.
+	steps := s.Steps((*buf)[:0])
+	*buf = steps
+	w.key = s.AppendKey(w.key[:0])
+	sleepMask, skip := x.skipMasks(&w.red, s, steps, sleep)
+	todo, isNew, over := r.visited.visit(w.key, maskAll(len(steps)), skip)
+	if over {
+		// Both stores count reservations, so at any width the budget trips
+		// with exactly MaxStates distinct states committed.
+		return frame{}, false, &StateBudgetError{System: s.Name(), States: x.budget()}
+	}
+	if isNew {
+		w.stats.States++
+		if len(steps) == 0 {
+			if !s.Done() {
+				if x.AllowStuck {
+					w.drop(s)
+					return frame{}, false, nil
+				}
+				return frame{}, false, fmt.Errorf("explore: %s deadlocked (no enabled steps, not done)", s.Name())
+			}
+			w.deliver(s)
 			return frame{}, false, nil
 		}
+	}
+	// A revisit re-expands exactly the steps skipped when the state was last
+	// left that are expandable now (the persistent set is a deterministic
+	// function of the state, so the difference can only come from a smaller
+	// sleep set; Steps order is canonical, so the positional masks align).
+	// Nothing to expand — a revisit covered before, or a first visit whose
+	// every step is asleep or outside the persistent set — leaves the state
+	// a leaf of the reduced search.
+	if todo == 0 {
+		w.drop(s)
+		return frame{}, false, nil
+	}
+	return frame{sys: s, steps: steps, sleep: sleepMask, todo: todo}, true, nil
+}
+
+// deliver hands a terminal state to final on its first visit: the visited
+// store admitted its key just now, so this is its one delivery. The callback
+// is serialized — callers' closures are not required to be thread-safe — and
+// suppressed after a stop, so an early stop is prompt at any width.
+func (w *worker) deliver(s TransitionSystem) {
+	r := w.run
+	stopped := false
+	r.finalMu.Lock()
+	if !r.stop.Load() {
+		w.stats.Finals++
+		stopped = !r.final(s)
+	}
+	r.finalMu.Unlock()
+	if stopped {
+		r.halt()
+	}
+}
+
+// dfs is the serial kernel: an explicit-stack depth-first search from root.
+// Each child is cloned from its frame, entered and explored before the next
+// sibling is, except the last, which consumes the frame's state in place.
+func (w *worker) dfs(root TransitionSystem) error {
+	x := w.run.x
+	stack := make([]frame, 0, 64)
+	// stepBufs[d] holds the step list of the stack frame at depth d, its only
+	// user: a child entered at depth d exists only once the frame that was
+	// there has been popped.
+	var stepBufs [][]Step
+	push := func(s TransitionSystem) error {
+		d := len(stack)
 		if d == len(stepBufs) {
 			stepBufs = append(stepBufs, nil)
 		}
-		// Compute steps before keying: Steps may normalize lazy state so
-		// that equivalent states reached along different paths key
-		// identically.
-		steps := s.Steps(stepBufs[d][:0])
-		stepBufs[d] = steps
-		key = s.AppendKey(key[:0])
-		sleepMask, skip := x.skipMasks(red, s, steps, sleep)
-		var sum digest.Sum
-		if !x.FullKeys {
-			sum = digest.Sum128(key)
+		f, descend, err := w.enter(s, w.sleep, &stepBufs[d])
+		if descend {
+			stack = append(stack, f)
 		}
-		todo, isNew, over := visited.visit(key, sum, maskAll(len(steps)), skip, reserve)
-		if over {
-			return frame{}, false, &StateBudgetError{System: s.Name(), States: visited.len()}
-		}
-		if isNew {
-			st.States++
-			if len(steps) == 0 {
-				if !s.Done() {
-					if x.AllowStuck {
-						free = append(free, s)
-						return frame{}, false, nil
-					}
-					return frame{}, false, fmt.Errorf("explore: %s deadlocked (no enabled steps, not done)", s.Name())
-				}
-				// The store admitted this key just now, so this is the
-				// terminal state's one delivery.
-				st.Finals++
-				if !final(s) {
-					stop = true
-				}
-				return frame{}, false, nil
-			}
-		}
-		// A revisit re-expands exactly the steps skipped when the state was
-		// last left that are expandable now (the persistent set is a
-		// deterministic function of the state, so the difference can only
-		// come from a smaller sleep set; Steps order is canonical, so the
-		// positional masks align). Nothing to expand — a revisit covered
-		// before, or a first visit whose every step is asleep or outside
-		// the persistent set — leaves the state dead.
-		if todo == 0 {
-			free = append(free, s)
-			return frame{}, false, nil
-		}
-		return frame{sys: s, steps: steps, sleep: sleepMask, todo: todo}, true, nil
+		return err
 	}
-
-	root, descend, err := enter(sys.Clone(nil), nil, 0)
-	if err != nil {
-		return st, err
+	if err := push(root); err != nil {
+		return err
 	}
-	stack := make([]frame, 0, 64)
-	if descend {
-		stack = append(stack, root)
-	}
-	for len(stack) > 0 && !stop {
+	for len(stack) > 0 && !w.run.stop.Load() {
 		top := &stack[len(stack)-1]
-		i := top.next
-		// The todo mask only describes the first 64 steps; indices past 63
-		// exist only on the first visit of a >64-step state (whose mask is
-		// all-ones and whose revisits carry todo == 0) and are expanded
-		// unconditionally, never skipped by a zero bit of an exhausted shift.
-		for i < len(top.steps) && i < 64 && top.todo&(uint64(1)<<i) == 0 {
-			i++
-		}
-		if i >= len(top.steps) {
+		i := top.nextPending(top.next)
+		if i == len(top.steps) {
 			// Defensive: enter never descends with nothing to expand, and
 			// the last pending step consumes its frame below.
-			free = append(free, top.sys)
+			w.drop(top.sys)
 			stack = stack[:len(stack)-1]
 			continue
 		}
@@ -640,14 +763,10 @@ func (x *Explorer) Run(sys TransitionSystem, final func(TransitionSystem) bool) 
 		// the persistent set are NOT passed down: their coverage argument is
 		// the persistence of the chosen subset, not an explored sibling
 		// subtree.
-		childSleep = x.appendChildSleep(childSleep[:0], top.steps, top.sleep|top.done, t)
+		w.sleep = x.appendChildSleep(w.sleep[:0], top.steps, top.sleep|top.done, t)
 		top.done |= uint64(1) << i
-		last := top.todo&^maskAll(i+1) == 0
-		if len(top.steps) > 64 {
-			last = i == len(top.steps)-1
-		}
 		var c TransitionSystem
-		if last {
+		if top.nextPending(i+1) == len(top.steps) {
 			// Last child: this frame is exhausted and will never be touched
 			// again, so the child consumes the parent system in place — one
 			// whole clone saved per expanded state (states with a single
@@ -656,25 +775,16 @@ func (x *Explorer) Run(sys TransitionSystem, final func(TransitionSystem) bool) 
 			c = top.sys
 			stack = stack[:len(stack)-1]
 		} else {
-			var reuse TransitionSystem
-			if n := len(free); n > 0 {
-				reuse, free[n-1], free = free[n-1], nil, free[:n-1]
-			}
-			c = top.sys.Clone(reuse)
+			c = w.clone(top.sys)
 		}
-		if err := c.Apply(t); err != nil {
-			return st, fmt.Errorf("explore: applying %s on %s: %w", t, c.Name(), err)
+		if err := w.apply(c, t); err != nil {
+			return err
 		}
-		st.Transitions++
-		child, descend, err := enter(c, childSleep, len(stack))
-		if err != nil {
-			return st, err
-		}
-		if descend {
-			stack = append(stack, child)
+		if err := push(c); err != nil {
+			return err
 		}
 	}
-	return st, nil
+	return nil
 }
 
 // budget is the effective MaxStates.

@@ -13,7 +13,6 @@
 package explore
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -155,16 +154,12 @@ func (v *stripedVisited) visit(key []byte, all, skip uint64) (todo uint64, isNew
 	return sh.visit(key, sum, all, skip, v.reserve)
 }
 
-// prun is the shared state of one parallel Run.
-type prun struct {
-	x       *Explorer
-	visited *stripedVisited
+// pool is the frontier of a parallel run: per-worker work-stealing deques,
+// the count of published items not yet processed, the first error, and the
+// parking lot of idle workers.
+type pool struct {
 	deques  []*wsDeque
 	pending atomic.Int64 // items published but not yet fully processed
-	stop    atomic.Bool
-
-	finalMu sync.Mutex // serializes the caller's final callback
-	final   func(TransitionSystem) bool
 
 	errMu sync.Mutex
 	err   error
@@ -174,105 +169,51 @@ type prun struct {
 	idlers atomic.Int32
 }
 
-// workerState is the per-worker scratch: reducer arrays, the reused key,
-// step, sleep and publication buffers, the free list, and the stats buffer
-// merged after the pool drains.
-type workerState struct {
-	id    int
-	red   *reducer
-	key   []byte
-	steps []Step     // the step list of the state being expanded
-	sleep []Step     // the inline child's sleep set
-	pubs  []workItem // the siblings of one expansion, awaiting publication
-	// free holds the states this worker dropped, the storage of its next
-	// clones. States migrate between workers with the items that carry
-	// them, so a worker that drops more than it clones would hoard them
-	// without the maxFree cap.
-	free  []TransitionSystem
-	stats Stats
-}
-
-// maxFree caps a worker's free list.
-const maxFree = 64
-
-// drop recycles a state the worker no longer references.
-func (ws *workerState) drop(s TransitionSystem) {
-	if len(ws.free) < maxFree {
-		ws.free = append(ws.free, s)
-	}
-}
-
-// clone copies s into the storage of a dropped state, if the worker has one.
-func (ws *workerState) clone(s TransitionSystem) TransitionSystem {
-	var reuse TransitionSystem
-	if n := len(ws.free); n > 0 {
-		reuse, ws.free[n-1], ws.free = ws.free[n-1], nil, ws.free[:n-1]
-	}
-	return s.Clone(reuse)
-}
-
-// pframe mirrors the serial frame for one expansion. wide marks the first
-// visit of a state with more than 64 enabled steps, whose indices past 63 the
-// masks cannot describe: they are expanded unconditionally, and revisits of
-// such states carry todo == 0 (nothing was ever skipped).
-type pframe struct {
-	sys   TransitionSystem
-	steps []Step
-	sleep uint64
-	todo  uint64
-	wide  bool
-}
-
 // runParallel is Run at width > 1.
 func (x *Explorer) runParallel(sys TransitionSystem, final func(TransitionSystem) bool, width int) (Stats, error) {
-	p := &prun{
-		x:       x,
-		visited: newStripedVisited(x.FullKeys, initialVisited, x.budget()),
-		deques:  make([]*wsDeque, width),
-		final:   final,
-	}
+	p := &pool{deques: make([]*wsDeque, width)}
 	p.idle = sync.NewCond(&p.idleMu)
 	for i := range p.deques {
 		p.deques[i] = &wsDeque{}
 	}
 	p.pending.Store(1)
 	p.deques[0].push(workItem{sys: sys.Clone(nil)})
-	stats := make([]Stats, width)
+	r := &run{x: x, visited: newStripedVisited(x.FullKeys, initialVisited, x.budget()), final: final, pool: p}
+	workers := make([]*worker, width)
 	var wg sync.WaitGroup
-	wg.Add(width)
-	for w := 0; w < width; w++ {
-		go func(id int) {
+	for id := range workers {
+		w := r.newWorker(id)
+		workers[id] = w
+		wg.Add(1)
+		go func() {
 			defer wg.Done()
-			ws := &workerState{id: id, red: &reducer{syncOrder: x.VisibleSyncOrder}}
-			p.worker(ws)
-			stats[id] = ws.stats
-		}(w)
+			r.work(w)
+		}()
 	}
 	wg.Wait()
 	var st Stats
-	for _, s := range stats {
-		st.States += s.States
-		st.Transitions += s.Transitions
-		st.Finals += s.Finals
-		st.Truncated += s.Truncated
+	for _, w := range workers {
+		st.States += w.stats.States
+		st.Transitions += w.stats.Transitions
+		st.Finals += w.stats.Finals
+		st.Truncated += w.stats.Truncated
 	}
-	p.errMu.Lock()
-	err := p.err
-	p.errMu.Unlock()
-	return st, err
+	return st, p.err
 }
 
-func (p *prun) worker(ws *workerState) {
+// work is one parallel worker's loop: take an item, explore its subtree,
+// retire it.
+func (r *run) work(w *worker) {
 	for {
-		it, ok := p.take(ws.id)
+		it, ok := r.take(w.id)
 		if !ok {
 			return
 		}
-		if err := p.process(ws, it); err != nil {
-			p.fail(err)
+		if err := w.process(it); err != nil {
+			r.fail(err)
 		}
-		if p.pending.Add(-1) == 0 {
-			p.wakeAll()
+		if r.pending.Add(-1) == 0 {
+			r.wakeAll()
 		}
 	}
 }
@@ -282,16 +223,16 @@ func (p *prun) worker(ws *workerState) {
 // on the idle cond. The idler count is published under idleMu before the
 // rechecks, and publishers push before reading it, so a publish racing a
 // failed scan is always caught by the recheck and never sleeps through.
-func (p *prun) take(id int) (workItem, bool) {
+func (r *run) take(id int) (workItem, bool) {
 	for {
-		if p.stop.Load() {
+		if r.stop.Load() {
 			return workItem{}, false
 		}
-		if it, ok := p.deques[id].pop(); ok {
+		if it, ok := r.deques[id].pop(); ok {
 			return it, true
 		}
-		for off := 1; off < len(p.deques); off++ {
-			d := p.deques[(id+off)%len(p.deques)]
+		for off := 1; off < len(r.deques); off++ {
+			d := r.deques[(id+off)%len(r.deques)]
 			if d.size.Load() == 0 {
 				continue
 			}
@@ -299,23 +240,23 @@ func (p *prun) take(id int) (workItem, bool) {
 				return it, true
 			}
 		}
-		if p.pending.Load() == 0 {
+		if r.pending.Load() == 0 {
 			return workItem{}, false
 		}
-		p.idleMu.Lock()
-		p.idlers.Add(1)
-		if p.anyWork() || p.pending.Load() == 0 || p.stop.Load() {
-			p.idlers.Add(-1)
-			p.idleMu.Unlock()
+		r.idleMu.Lock()
+		r.idlers.Add(1)
+		if r.anyWork() || r.pending.Load() == 0 || r.stop.Load() {
+			r.idlers.Add(-1)
+			r.idleMu.Unlock()
 			continue
 		}
-		p.idle.Wait()
-		p.idlers.Add(-1)
-		p.idleMu.Unlock()
+		r.idle.Wait()
+		r.idlers.Add(-1)
+		r.idleMu.Unlock()
 	}
 }
 
-func (p *prun) anyWork() bool {
+func (p *pool) anyWork() bool {
 	for _, d := range p.deques {
 		if d.size.Load() != 0 {
 			return true
@@ -327,7 +268,7 @@ func (p *prun) anyWork() bool {
 // publish hands a work item to worker id's own deque (keeping publication
 // local: a busy worker's surplus is what thieves target) and wakes one parked
 // worker if any.
-func (p *prun) publish(id int, it workItem) {
+func (p *pool) publish(id int, it workItem) {
 	p.pending.Add(1)
 	p.deques[id].push(it)
 	if p.idlers.Load() > 0 {
@@ -337,28 +278,22 @@ func (p *prun) publish(id int, it workItem) {
 	}
 }
 
-func (p *prun) wakeAll() {
+func (p *pool) wakeAll() {
 	p.idleMu.Lock()
 	p.idle.Broadcast()
 	p.idleMu.Unlock()
 }
 
-// halt initiates wind-down: early stop or error.
-func (p *prun) halt() {
-	p.stop.Store(true)
-	p.wakeAll()
-}
-
 // fail records the first error and winds the pool down. "First" is first to
 // acquire the mutex — under parallel scheduling there is no canonical first
 // failure, only whether the run failed.
-func (p *prun) fail(err error) {
-	p.errMu.Lock()
-	if p.err == nil {
-		p.err = err
+func (r *run) fail(err error) {
+	r.errMu.Lock()
+	if r.err == nil {
+		r.err = err
 	}
-	p.errMu.Unlock()
-	p.halt()
+	r.errMu.Unlock()
+	r.halt()
 }
 
 // process explores the subtree rooted at it, descending inline into the
@@ -366,13 +301,11 @@ func (p *prun) fail(err error) {
 // depth-first memory behavior) and publishing the remaining siblings as work
 // items, newest pushed last so a lone worker pops them — and hence visits
 // states — in exactly the serial pre-order.
-func (p *prun) process(ws *workerState, it workItem) error {
+func (w *worker) process(it workItem) error {
+	r := w.run
 	s, sleep := it.sys, it.sleep
-	for {
-		if p.stop.Load() {
-			return nil
-		}
-		f, descend, err := p.enter(ws, s, sleep)
+	for !r.stop.Load() {
+		f, descend, err := w.enter(s, sleep, &w.steps)
 		if err != nil || !descend {
 			return err
 		}
@@ -386,116 +319,36 @@ func (p *prun) process(ws *workerState, it workItem) error {
 		// order the subtrees run in. enter has read the inherited sleep set,
 		// so the inline child's may take over its buffer; a published
 		// sibling's sleep set is its own, since another worker may run it.
-		var (
-			inline     Step
-			haveInline bool
-			done       uint64
-		)
-		n := len(f.steps)
-		for i := 0; i < n; i++ {
-			if i < 64 {
-				if f.todo&(uint64(1)<<i) == 0 {
-					continue
-				}
-			} else if !f.wide {
-				break
-			}
+		inline := -1
+		for i := f.nextPending(0); i < len(f.steps); i = f.nextPending(i + 1) {
 			t := f.steps[i]
-			covered := f.sleep | done
-			if i < 64 {
-				done |= uint64(1) << i
-			}
-			if !haveInline {
-				ws.sleep = p.x.appendChildSleep(ws.sleep[:0], f.steps, covered, t)
-				inline, haveInline = t, true
+			covered := f.sleep | f.done
+			f.done |= uint64(1) << i
+			if inline < 0 {
+				w.sleep = r.x.appendChildSleep(w.sleep[:0], f.steps, covered, t)
+				inline = i
 				continue
 			}
-			c := ws.clone(f.sys)
-			if err := c.Apply(t); err != nil {
-				return fmt.Errorf("explore: applying %s on %s: %w", t, c.Name(), err)
+			c := w.clone(f.sys)
+			if err := w.apply(c, t); err != nil {
+				return err
 			}
-			ws.stats.Transitions++
-			ws.pubs = append(ws.pubs, workItem{sys: c, sleep: p.x.appendChildSleep(nil, f.steps, covered, t)})
+			w.pubs = append(w.pubs, workItem{sys: c, sleep: r.x.appendChildSleep(nil, f.steps, covered, t)})
 		}
-		for i := len(ws.pubs) - 1; i >= 0; i-- {
-			p.publish(ws.id, ws.pubs[i])
+		for i := len(w.pubs) - 1; i >= 0; i-- {
+			r.publish(w.id, w.pubs[i])
 		}
-		clear(ws.pubs)
-		ws.pubs = ws.pubs[:0]
-		if !haveInline {
-			// Defensive: enter never descends with an empty todo set, so an
-			// expansion always has an inline continuation.
-			ws.drop(f.sys)
+		clear(w.pubs)
+		w.pubs = w.pubs[:0]
+		if inline < 0 {
+			// Defensive: enter never descends with nothing to expand.
+			w.drop(f.sys)
 			return nil
 		}
-		if err := f.sys.Apply(inline); err != nil {
-			return fmt.Errorf("explore: applying %s on %s: %w", inline, f.sys.Name(), err)
+		if err := w.apply(f.sys, f.steps[inline]); err != nil {
+			return err
 		}
-		ws.stats.Transitions++
-		s, sleep = f.sys, ws.sleep
+		s, sleep = f.sys, w.sleep
 	}
-}
-
-// enter mirrors the serial kernel's per-state processing against the striped
-// store: path bound, step computation, reduction masks, atomic visited
-// transition, budget, terminal handling. A state it does not descend into is
-// dropped onto the worker's free list, whichever worker cloned it — the item
-// carrying it was handed over under its deque's mutex, and no other worker
-// holds it — except a terminal state handed to final.
-func (p *prun) enter(ws *workerState, s TransitionSystem, sleep []Step) (pframe, bool, error) {
-	x := p.x
-	if s.Prune() {
-		ws.stats.Truncated++
-		ws.drop(s)
-		return pframe{}, false, nil
-	}
-	ws.steps = s.Steps(ws.steps[:0])
-	steps := ws.steps
-	ws.key = s.AppendKey(ws.key[:0])
-	sleepMask, skip := x.skipMasks(ws.red, s, steps, sleep)
-	todo, isNew, over := p.visited.visit(ws.key, maskAll(len(steps)), skip)
-	if over {
-		// The reservation count makes "budget exhausted" mean exactly what
-		// it says at any width: precisely budget distinct states committed.
-		return pframe{}, false, &StateBudgetError{System: s.Name(), States: int(p.visited.budget)}
-	}
-	if isNew {
-		ws.stats.States++
-		if len(steps) == 0 {
-			if !s.Done() {
-				if x.AllowStuck {
-					ws.drop(s)
-					return pframe{}, false, nil
-				}
-				return pframe{}, false, fmt.Errorf("explore: %s deadlocked (no enabled steps, not done)", s.Name())
-			}
-			// First visit of a terminal state: the visited reservation above
-			// is the dedup, so this is the one delivery. The callback is
-			// serialized — callers' closures are not required to be
-			// thread-safe — and suppressed after stop, so an early stop is
-			// prompt at any width.
-			stopped := false
-			p.finalMu.Lock()
-			if !p.stop.Load() {
-				ws.stats.Finals++
-				if !p.final(s) {
-					stopped = true
-				}
-			}
-			p.finalMu.Unlock()
-			if stopped {
-				p.halt()
-			}
-			return pframe{}, false, nil
-		}
-	}
-	if todo == 0 {
-		// A revisit with nothing new to expand, or a first visit whose every
-		// enabled step is asleep or outside the persistent set: a legitimate
-		// leaf of the reduced search (the serial kernel drops it the same
-		// way).
-		ws.drop(s)
-		return pframe{}, false, nil
-	}
-	return pframe{sys: s, steps: steps, sleep: sleepMask, todo: todo, wide: isNew && len(steps) > 64}, true, nil
+	return nil
 }

@@ -169,6 +169,70 @@ func TestManyStepsFullExpansion(t *testing.T) {
 	}
 }
 
+// forkSystem is a chain of n single-step states ending in a fork into two
+// terminal states.
+type forkSystem struct {
+	n, depth int
+	picked   int // -1 before the fork
+}
+
+func (f *forkSystem) Name() string { return "fork" }
+
+func (f *forkSystem) Clone(TransitionSystem) TransitionSystem { c := *f; return &c }
+
+func (f *forkSystem) Steps(steps []Step) []Step {
+	switch {
+	case f.depth < f.n:
+		steps = append(steps, Step{Info: Info{Opaque: true}})
+	case f.picked < 0:
+		steps = append(steps, Step{Proc: 0, Info: Info{Opaque: true}}, Step{Proc: 1, Info: Info{Agent: 1, Opaque: true}})
+	}
+	return steps
+}
+
+func (f *forkSystem) Apply(t Step) error {
+	if f.depth < f.n {
+		f.depth++
+	} else {
+		f.picked = t.Proc
+	}
+	return nil
+}
+
+func (f *forkSystem) Done() bool { return f.picked >= 0 }
+
+func (f *forkSystem) AppendKey(key []byte) []byte {
+	return binary.AppendVarint(binary.AppendUvarint(key, uint64(f.depth)), int64(f.picked))
+}
+
+func (f *forkSystem) Prune() bool { return false }
+
+func (f *forkSystem) Footprints(buf []AgentFootprints) []AgentFootprints {
+	return append(buf, AgentFootprints{Future: Footprint{Opaque: true}}, AgentFootprints{Future: Footprint{Opaque: true}})
+}
+
+// TestEarlyStopWakesParkedWorkers pins an early stop at every width: the
+// callback returns false on the first terminal state, and Run returns having
+// delivered that one. Above width 1 every other worker is parked while one
+// walks the chain, and the fork publishes the second terminal state just
+// before the inline first one stops the run; left unprocessed, that item
+// keeps the pending count above zero, so only the stop wakes the parked
+// workers.
+func TestEarlyStopWakesParkedWorkers(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		for i := 0; i < 50; i++ {
+			calls := 0
+			st, err := (&Explorer{Workers: workers}).Run(&forkSystem{n: 100, picked: -1}, func(TransitionSystem) bool {
+				calls++
+				return false
+			})
+			if err != nil || calls != 1 || st.Finals != 1 {
+				t.Fatalf("workers=%d: %d deliveries, %d finals, err %v; want one delivery and no error", workers, calls, st.Finals, err)
+			}
+		}
+	}
+}
+
 // countSystem is a grid of independent per-agent counters: agents distinct,
 // addresses distinct, so full exploration visits (limit+1)^agents states —
 // a pure visited-store stress with trivial per-state work.

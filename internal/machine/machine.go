@@ -288,7 +288,7 @@ type Machine struct {
 	engine *sim.Engine
 	procs  []*proc.Processor
 	caches []*cache.Cache
-	dir    cache.Directory
+	dir    *cache.ShardedDirectory
 	fabric interconnect.Fabric
 	inj    *faults.Injector
 	rec    *metrics.Recorder
@@ -349,12 +349,7 @@ func New(p *program.Program, cfg Config) *Machine {
 	// One message pool per machine: its caches and directory shards run on
 	// one goroutine, and machines run concurrently never share records.
 	msgs := new(cache.MsgPool)
-	var dir cache.Directory
-	if cfg.DirShards > 1 {
-		dir = cache.NewShardedDirectory(dirID, cfg.DirShards, engine, fabric, msgs, cfg.MemLatency, init)
-	} else {
-		dir = cache.NewDirectory(dirID, engine, fabric, msgs, cfg.MemLatency, init)
-	}
+	dir := cache.NewShardedDirectory(dirID, cfg.DirShards, engine, fabric, msgs, cfg.MemLatency, init)
 	dir.SetMetrics(rec)
 	if cfg.Faults {
 		dir.SetLenient(true)

@@ -79,7 +79,7 @@ func largestState(t *testing.T, root Machine) Machine {
 			best, bestLen = m, len(k)
 		}
 		for _, tr := range ts {
-			c := m.Clone()
+			c := m.CloneInto(nil)
 			if err := c.Apply(tr); err != nil {
 				t.Fatalf("%s: %s: %v", m.Name(), tr, err)
 			}
@@ -108,8 +108,8 @@ func TestCloneIndependenceComputedAddrs(t *testing.T) {
 			how    string
 			copyOf func(Machine) Machine
 		}{
-			{"Clone", func(m Machine) Machine { return m.Clone() }},
-			{"CloneInto", func(m Machine) Machine { return m.CloneInto(largest.Clone()) }},
+			{"Clone", func(m Machine) Machine { return m.CloneInto(nil) }},
+			{"CloneInto", func(m Machine) Machine { return m.CloneInto(largest.CloneInto(nil)) }},
 		}
 		seen := map[string]bool{}
 		stack := []Machine{root}
@@ -148,7 +148,7 @@ func TestCloneIndependenceComputedAddrs(t *testing.T) {
 				j := (i + 1) % len(ts)
 				for _, c := range copies {
 					how := c.how
-					a := m.Clone()
+					a := m.CloneInto(nil)
 					b := c.copyOf(a)
 					if got := snap(b); got != before {
 						t.Fatalf("%s: %s of a state differs from it:\nwant %+v\ngot  %+v", name, how, before, got)
@@ -215,7 +215,7 @@ func cloneBytes(m Machine) uint64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < 50; i++ {
-		_ = m.Clone()
+		_ = m.CloneInto(nil)
 	}
 	runtime.ReadMemStats(&after)
 	return (after.TotalAlloc - before.TotalAlloc) / 50
@@ -251,7 +251,7 @@ loop1:
 		var bytes []uint64
 		for _, n := range []int{10, 30} {
 			stepQuiescent(t, m, n)
-			allocs = append(allocs, testing.AllocsPerRun(50, func() { _ = m.Clone() }))
+			allocs = append(allocs, testing.AllocsPerRun(50, func() { _ = m.CloneInto(nil) }))
 			bytes = append(bytes, cloneBytes(m))
 		}
 		if allocs[0] != allocs[1] {

@@ -1,7 +1,7 @@
 package model
 
 // Unit tests for the contract the partial-order reduction rests on: when two
-// enabled transitions are independent per their declared StepInfo, applying
+// enabled steps are independent per the Info they carry, applying
 // them in either order must land in key-identical states (and the second must
 // stay enabled, under the same identity, after the first) — and every enabled
 // step must be covered by its agent's declared future footprint. The POR and
@@ -104,7 +104,7 @@ func forEachReachable(t *testing.T, m Machine, limit int, visit func(m Machine))
 		queue = queue[1:]
 		visit(cur)
 		for _, tr := range cur.Transitions(nil) {
-			next := cur.Clone()
+			next := cur.CloneInto(nil)
 			if err := next.Apply(tr); err != nil {
 				t.Fatalf("%s: apply %v: %v", cur.Name(), tr, err)
 			}
@@ -119,9 +119,9 @@ func forEachReachable(t *testing.T, m Machine, limit int, visit func(m Machine))
 
 // applyPair clones m, applies first then second, and returns the pair of
 // canonical keys at the given mode.
-func applyPair(t *testing.T, m Machine, first, second Transition, mode KeyMode) string {
+func applyPair(t *testing.T, m Machine, first, second explore.Step, mode KeyMode) string {
 	t.Helper()
-	c := m.Clone()
+	c := m.CloneInto(nil)
 	if err := c.Apply(first); err != nil {
 		t.Fatalf("%s: apply %v: %v", m.Name(), first, err)
 	}
@@ -147,7 +147,7 @@ func applyPair(t *testing.T, m Machine, first, second Transition, mode KeyMode) 
 }
 
 // TestFootprintIndependenceCommutes checks, machine by machine, the promise
-// StepInfo makes to the kernel: at every reachable state of the table
+// each step's Info makes to the kernel: at every reachable state of the table
 // programs, each pair of enabled transitions that explore.Independent accepts
 // must commute exactly — either application order reaches the same canonical
 // key — at the key mode matching the independence flavor (sync order
@@ -164,7 +164,7 @@ func TestFootprintIndependenceCommutes(t *testing.T) {
 					trs := m.Transitions(nil)
 					steps := make([]explore.Step, len(trs))
 					for i, tr := range trs {
-						steps[i] = explore.Step{Info: m.StepInfo(tr)}
+						steps[i] = explore.Step{Info: tr.Info}
 					}
 					for i := 0; i < len(trs); i++ {
 						for j := i + 1; j < len(trs); j++ {
@@ -206,7 +206,7 @@ func TestFootprintsCoverEnabledSteps(t *testing.T) {
 				forEachReachable(t, f.mk(p), stateLimit, func(m Machine) {
 					fps := m.Footprints(nil)
 					for _, tr := range m.Transitions(nil) {
-						info := m.StepInfo(tr)
+						info := tr.Info
 						if info.Agent < 0 || info.Agent >= len(fps) {
 							t.Fatalf("%s on %s: step %v names agent %d outside the %d declared footprints",
 								f.name, p.Name, tr, info.Agent, len(fps))

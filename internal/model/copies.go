@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"weakorder/internal/explore"
 	"weakorder/internal/mem"
 )
 
@@ -128,8 +127,9 @@ func (c *copies) deliverable(i int) bool {
 }
 
 // deliver applies pending propagation with the given seq/dst, dropping it if
-// a newer same-location write already reached the destination.
-func (c *copies) deliver(seq int64, dst int) error {
+// a newer same-location write already reached the destination, and returns
+// its source processor.
+func (c *copies) deliver(seq int64, dst int) (int, error) {
 	for i := range c.pending {
 		m := c.pending[i]
 		if m.seq != seq || m.dst != dst {
@@ -141,9 +141,9 @@ func (c *copies) deliver(seq int64, dst int) error {
 			c.stamp[dst].set(m.addr, m.seq)
 		}
 		c.outstanding[m.src]--
-		return nil
+		return m.src, nil
 	}
-	return fmt.Errorf("copies: no pending propagation seq=%d dst=%d", seq, dst)
+	return -1, fmt.Errorf("copies: no pending propagation seq=%d dst=%d", seq, dst)
 }
 
 // drained reports whether processor p has no outstanding propagations, i.e.
@@ -192,33 +192,6 @@ func (c *copies) appendKey(key []byte) []byte {
 		key = append(key, live)
 	}
 	return key
-}
-
-// propSrc returns the source processor of the pending propagation identified
-// by (seq, dst), or -1.
-func (c *copies) propSrc(seq int64, dst int) int {
-	for _, m := range c.pending {
-		if m.seq == seq && m.dst == dst {
-			return m.src
-		}
-	}
-	return -1
-}
-
-// propInfo classifies a delivery transition (Aux=seq, Proc=dst) for
-// partial-order reduction: the propagation acts for its *source* processor —
-// outstanding[src] is what it decrements, and every gate that can freeze on
-// undelivered propagations (WODef1's sync stall, WODef2's reservation
-// release, per-(dst,addr) FIFO order) waits on the source's deliveries.
-func (c *copies) propInfo(seq int64, dst int, bitOf func(mem.Addr) (uint64, bool)) explore.Info {
-	for _, m := range c.pending {
-		if m.seq == seq && m.dst == dst {
-			info := explore.Info{Agent: m.src, Addr: m.addr, Op: mem.OpWrite}
-			info.AddrBit, _ = bitOf(m.addr)
-			return info
-		}
-	}
-	return explore.Info{Agent: dst, Opaque: true}
 }
 
 // propMask is the address footprint of one processor's pending propagations.

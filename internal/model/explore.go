@@ -70,27 +70,25 @@ type StateBudgetError = explore.StateBudgetError
 type Stats = explore.Stats
 
 // machineSystem adapts a Machine to the kernel's TransitionSystem: it carries
-// the key mode and trace bound, translates Transition to explore.Step (adding
-// the machine's StepInfo), and presents the enabled steps in a canonical
-// order. The machines emit deliveries in internal list order, which is not a
-// function of the state key (equivalent states reached along different paths
-// hold their pending lists in different cross-group orders), so the adapter
-// sorts by (Kind, Proc, Addr) — a total order on any one state's steps, since
-// per-(agent, addr) FIFO delivery makes at most one delivery per (Proc, Addr)
-// pair enabled at once — giving the kernel the position-aligned step lists
-// its per-state masks require.
+// the key mode and trace bound, and presents the machine's steps in a
+// canonical order. The machines emit deliveries in internal list order, which
+// is not a function of the state key (equivalent states reached along
+// different paths hold their pending lists in different cross-group orders),
+// so the adapter sorts by (Kind, Proc, Addr) — a total order on any one
+// state's steps, since per-(agent, addr) FIFO delivery makes at most one
+// delivery per (Proc, Addr) pair enabled at once — giving the kernel the
+// position-aligned step lists its per-state masks require.
 type machineSystem struct {
 	m           Machine
 	mode        KeyMode
 	maxTraceOps int
-	race        *raceProbe   // set on a CheckSC pass; shared by every clone
-	trans       []Transition // Transitions scratch, recycled with the state
+	race        *raceProbe // set on a CheckSC pass; shared by every clone
 }
 
 func (s *machineSystem) Name() string { return s.m.Name() }
 
 // Clone implements explore.TransitionSystem: the machine is copied into the
-// recycled state's machine, and the recycled scratch is kept.
+// recycled state's machine.
 func (s *machineSystem) Clone(reuse explore.TransitionSystem) explore.TransitionSystem {
 	c, _ := reuse.(*machineSystem)
 	if c == nil {
@@ -102,11 +100,8 @@ func (s *machineSystem) Clone(reuse explore.TransitionSystem) explore.Transition
 }
 
 func (s *machineSystem) Steps(buf []explore.Step) []explore.Step {
-	s.trans = s.m.Transitions(s.trans[:0])
 	n := len(buf)
-	for _, t := range s.trans {
-		buf = append(buf, explore.Step{Kind: uint8(t.Kind), Proc: t.Proc, Aux: int64(t.Aux), Info: s.m.StepInfo(t)})
-	}
+	buf = s.m.Transitions(buf)
 	steps := buf[n:]
 	slices.SortStableFunc(steps, compareSteps)
 	if s.race != nil {
@@ -126,9 +121,7 @@ func compareSteps(x, y explore.Step) int {
 	return cmp.Compare(x.Info.Addr, y.Info.Addr)
 }
 
-func (s *machineSystem) Apply(t explore.Step) error {
-	return s.m.Apply(Transition{Kind: TransKind(t.Kind), Proc: t.Proc, Aux: int(t.Aux)})
-}
+func (s *machineSystem) Apply(t explore.Step) error { return s.m.Apply(t) }
 
 func (s *machineSystem) Done() bool { return s.m.Done() }
 
@@ -207,19 +200,16 @@ func (x *Explorer) FinalStates(m Machine, fn func(*program.FinalState) bool) (St
 	return x.Visit(m, func(f Machine) bool { return fn(f.Final()) })
 }
 
-// Enumerator adapts (program, machine factory, explorer) to the
-// core.ExecutionEnumerator interface so core.CheckProgram can quantify over
-// all idealized executions. The factory is normally NewSC — Definition 3 is
-// stated over the idealized architecture — and exploration runs at
-// KeyExecution granularity so every distinct happens-before relation is
-// produced. Over the default SC machine it also implements
-// core.DRF0Decider, which lets CheckProgram answer "does the program obey
-// DRF0?" with one CheckSC pass instead.
+// Enumerator adapts (program, explorer) to the core.ExecutionEnumerator
+// interface so core.CheckProgram can quantify over all idealized executions:
+// it explores the SC machine — Definition 3 is stated over the idealized
+// architecture — at KeyExecution granularity, so every distinct
+// happens-before relation is produced. It also implements core.DRF0Decider,
+// which lets CheckProgram answer "does the program obey DRF0?" with one
+// CheckSC pass instead.
 type Enumerator struct {
 	Prog     *program.Program
 	Explorer *Explorer
-	// New builds the machine; nil means NewSC.
-	New func(*program.Program) Machine
 }
 
 var (
@@ -236,21 +226,16 @@ func (e *Enumerator) explorer() *Explorer {
 
 // DecideDRF0 implements core.DRF0Decider: one CheckSC pass that stops at the
 // first race. Executions counts the distinct SC results the pass reached.
-// Custom machines (New set) are not the idealized architecture the pass
-// characterizes, so they report ok == false and are enumerated.
-func (e *Enumerator) DecideDRF0() (*core.ProgramReport, bool, error) {
-	if e.New != nil {
-		return nil, false, nil
-	}
+func (e *Enumerator) DecideDRF0() (*core.ProgramReport, error) {
 	pass, err := e.explorer().CheckSC(e.Prog, true)
 	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
 	rep := &core.ProgramReport{Model: core.DRF0{}.Name(), Executions: pass.Stats.Finals}
 	if pass.Race != nil {
 		rep.Violations = []*core.Report{pass.Race}
 	}
-	return rep, true, nil
+	return rep, nil
 }
 
 // IdealizedExecutions implements core.ExecutionEnumerator.
@@ -259,10 +244,6 @@ func (e *Enumerator) IdealizedExecutions(fn func(*mem.Execution) bool) error {
 	if sub.Mode < KeyExecution {
 		sub.Mode = KeyExecution
 	}
-	mk := e.New
-	if mk == nil {
-		mk = func(p *program.Program) Machine { return NewSC(p) }
-	}
-	_, err := sub.Visit(mk(e.Prog), func(f Machine) bool { return fn(f.Trace()) })
+	_, err := sub.Visit(NewSC(e.Prog), func(f Machine) bool { return fn(f.Trace()) })
 	return err
 }

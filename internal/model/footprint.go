@@ -139,14 +139,16 @@ func (b *base) fpAddrBit(a mem.Addr) (uint64, bool) {
 	return uint64(1) << i, true
 }
 
-// execInfo is the reduction footprint of a TExec step: the acting thread's
-// pending request, as a single access by agent p.
-func (b *base) execInfo(p int) explore.Info {
-	req, ok, err := b.pending(p)
-	if err != nil || !ok {
-		return explore.Info{Agent: p, Opaque: true}
-	}
-	info := explore.Info{Agent: p, Addr: req.Addr, Op: req.Op}
-	info.AddrBit, _ = b.fpAddrBit(req.Addr)
-	return info
+// step returns the step (kind, proc, aux) that performs one access, op on a,
+// for agent.
+func (b *base) step(kind uint8, proc int, aux int64, agent int, a mem.Addr, op mem.Op) explore.Step {
+	s := explore.Step{Kind: kind, Proc: proc, Aux: aux, Info: explore.Info{Agent: agent, Addr: a, Op: op}}
+	s.AddrBit, _ = b.fpAddrBit(a)
+	return s
+}
+
+// execStep is the TExec step of thread p, whose pending request is req: one
+// access by agent p.
+func (b *base) execStep(p int, req program.Request) explore.Step {
+	return b.step(TExec, p, 0, p, req.Addr, req.Op)
 }

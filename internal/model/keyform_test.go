@@ -62,8 +62,6 @@ type keyRecorder struct {
 	pairs *keyPairs
 }
 
-func (r *keyRecorder) Clone() model.Machine { return r.CloneInto(nil) }
-
 func (r *keyRecorder) CloneInto(dst model.Machine) model.Machine {
 	d, _ := dst.(*keyRecorder)
 	if d == nil {

@@ -29,60 +29,34 @@
 // NonAtomic and the WODef machines are modes of one type, WeakOrdered, over
 // per-processor copies of memory.
 //
-// Every machine is a value that can be Cloned, so the explorer can branch on
-// each enabled transition and deduplicate states by canonical key. Every
+// Every machine can be copied (CloneInto), so the explorer can branch on each
+// enabled step and deduplicate states by canonical key, and every step a
+// machine enumerates carries the Info the partial-order reduction reads. Every
 // machine also has a behaviour identity (Behavior), separate from its display
 // name, so a caller can explore each distinct transition system once.
 package model
 
 import (
-	"fmt"
-
 	"weakorder/internal/digest"
 	"weakorder/internal/explore"
 	"weakorder/internal/mem"
 	"weakorder/internal/program"
 )
 
-// TransKind classifies a nondeterministic transition.
-type TransKind uint8
-
+// The kinds of a machine's steps (explore.Step.Kind). A step's Proc is the
+// acting processor; its Aux disambiguates steps of one kind and processor,
+// with a machine-specific meaning (a drained address, a message's sequence
+// number, an RMO read's version offset).
 const (
 	// TExec executes the next memory operation of a thread (possibly only
 	// partially, e.g. enqueueing a write into a buffer).
-	TExec TransKind = iota
+	TExec uint8 = iota
 	// TDrain retires the oldest entry of a processor's write buffer.
 	TDrain
 	// TDeliver delivers one in-flight message (network request or a write
 	// propagation to one destination processor's copy).
 	TDeliver
 )
-
-// String implements fmt.Stringer.
-func (k TransKind) String() string {
-	switch k {
-	case TExec:
-		return "exec"
-	case TDrain:
-		return "drain"
-	case TDeliver:
-		return "deliver"
-	default:
-		return fmt.Sprintf("trans(%d)", uint8(k))
-	}
-}
-
-// Transition identifies one enabled nondeterministic step of a machine.
-// Proc is the acting processor; Aux disambiguates deliveries (its meaning is
-// machine-specific, e.g. an index into a pending-message list).
-type Transition struct {
-	Kind TransKind
-	Proc int
-	Aux  int
-}
-
-// String implements fmt.Stringer.
-func (t Transition) String() string { return fmt.Sprintf("%s(P%d,%d)", t.Kind, t.Proc, t.Aux) }
 
 // KeyMode selects how much history a machine folds into its canonical state
 // key, trading exploration speed for what the deduplicated outcomes preserve.
@@ -120,19 +94,24 @@ type Machine interface {
 	Name() string
 	// Behavior returns the machine's behaviour identity.
 	Behavior() Behavior
-	// Clone returns an independent copy. Its cost does not grow with the
-	// recorded history, which the copy shares (see histNode). It is
-	// CloneInto(nil).
-	Clone() Machine
 	// CloneInto returns an independent copy written into dst's storage. dst
 	// is nil or a machine that nothing references any longer; the copy may
 	// overwrite everything dst owns. A dst of another kind is not reused.
+	// Its cost does not grow with the recorded history, which the copy
+	// shares (see histNode).
 	CloneInto(dst Machine) Machine
-	// Transitions appends the currently enabled transitions to buf,
-	// deterministically ordered, and returns it.
-	Transitions(buf []Transition) []Transition
-	// Apply performs one enabled transition.
-	Apply(t Transition) error
+	// Transitions appends the currently enabled steps to buf,
+	// deterministically ordered, and returns it. Each step carries its Info
+	// for partial-order reduction: the agent it acts for and the single
+	// memory access it performs, read from the request or message the
+	// machine enumerates it from. Agents partition a machine's steps so that
+	// a disabled step of agent a can only be enabled by a step of a itself
+	// or of an agent whose footprint conflicts with a's wake footprint (the
+	// kernel's frozen-gate contract).
+	Transitions(buf []explore.Step) []explore.Step
+	// Apply performs one enabled step; only its identity (Kind, Proc, Aux)
+	// is read.
+	Apply(t explore.Step) error
 	// Done reports whether all threads halted and all internal buffers and
 	// in-flight messages drained.
 	Done() bool
@@ -160,12 +139,6 @@ type Machine interface {
 	// TraceLen returns the number of recorded accesses, Trace().Len(),
 	// without building the execution.
 	TraceLen() int
-	// StepInfo classifies an enabled transition for partial-order reduction:
-	// which agent it belongs to and which single memory access it performs.
-	// Agents partition a machine's transitions so that a disabled transition
-	// of agent a can only be enabled by a step of a itself or of an agent
-	// whose footprint conflicts with a's (the kernel's frozen-gate contract).
-	StepInfo(t Transition) explore.Info
 	// Footprints appends one entry per agent: an over-approximation of every
 	// access the agent may still perform (static program suffix plus dynamic
 	// machine state such as buffered writes or in-flight messages), and the

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"weakorder/internal/core"
+	"weakorder/internal/explore"
 	"weakorder/internal/mem"
 	"weakorder/internal/program"
 )
@@ -243,7 +244,7 @@ func TestWindowBoundStallsWriters(t *testing.T) {
 	writes := 0
 	for {
 		ts := mach.Transitions(nil)
-		var exec *Transition
+		var exec *explore.Step
 		for i := range ts {
 			if ts[i].Kind == TExec && ts[i].Proc == 0 {
 				exec = &ts[i]
@@ -279,14 +280,14 @@ thread:
     sync.st s, 2
 `).Program
 	m := NewWODef2(p)
-	apply := func(tr Transition) {
+	apply := func(tr explore.Step) {
 		if err := m.Apply(tr); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// P0 writes x (commit, prop pending) then syncs s.
-	apply(Transition{Kind: TExec, Proc: 0})
-	apply(Transition{Kind: TExec, Proc: 0})
+	apply(explore.Step{Kind: TExec, Proc: 0})
+	apply(explore.Step{Kind: TExec, Proc: 0})
 	// Now P1's sync must be absent from the enabled set.
 	for _, tr := range m.Transitions(nil) {
 		if tr.Kind == TExec && tr.Proc == 1 {
@@ -323,14 +324,14 @@ func TestCloneIndependence(t *testing.T) {
 	if len(ts) == 0 {
 		t.Fatal("no transitions")
 	}
-	c := m.Clone()
+	c := m.CloneInto(nil)
 	if err := c.Apply(ts[0]); err != nil {
 		t.Fatal(err)
 	}
 	if Key(m, KeyState) == Key(c, KeyState) {
 		t.Error("applying a transition to the clone should change its key")
 	}
-	m2 := m.Clone()
+	m2 := m.CloneInto(nil)
 	if Key(m, KeyState) != Key(m2, KeyState) {
 		t.Error("fresh clone should key identically")
 	}

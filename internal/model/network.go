@@ -49,9 +49,6 @@ func NewNetwork(p *program.Program) *Network {
 	return m
 }
 
-// Clone implements Machine.
-func (m *Network) Clone() Machine { return m.CloneInto(nil) }
-
 // Behavior implements Machine.
 func (m *Network) Behavior() Behavior { return Behavior{kind: kindNetwork} }
 
@@ -92,11 +89,18 @@ func (m *Network) hasInflight(p int) bool {
 	return false
 }
 
-// Transitions implements Machine.
-func (m *Network) Transitions(ts []Transition) []Transition {
+// Transitions implements Machine. Deliveries act for the issuing processor:
+// all of an agent's gates (per-module FIFO, in-flight caps, read blocking,
+// sync quiescence) wait only on the agent's own deliveries.
+func (m *Network) Transitions(ts []explore.Step) []explore.Step {
 	for i := range m.inflight {
 		if m.deliverable(i) {
-			ts = append(ts, Transition{Kind: TDeliver, Proc: m.inflight[i].proc, Aux: m.inflight[i].seq})
+			msg := &m.inflight[i]
+			op := mem.OpWrite
+			if msg.isRead {
+				op = mem.OpRead
+			}
+			ts = append(ts, m.step(TDeliver, msg.proc, int64(msg.seq), msg.proc, msg.addr, op))
 		}
 	}
 	for p := range m.threads {
@@ -113,7 +117,7 @@ func (m *Network) Transitions(ts []Transition) []Transition {
 		if req.Op == mem.OpWrite && m.inflightCount(p) >= maxInflight {
 			continue // finite request buffering per processor
 		}
-		ts = append(ts, Transition{Kind: TExec, Proc: p})
+		ts = append(ts, m.execStep(p, req))
 	}
 	return ts
 }
@@ -143,10 +147,10 @@ func (m *Network) findMsg(seq int) (int, bool) {
 }
 
 // Apply implements Machine.
-func (m *Network) Apply(t Transition) error {
+func (m *Network) Apply(t explore.Step) error {
 	switch t.Kind {
 	case TDeliver:
-		i, ok := m.findMsg(t.Aux)
+		i, ok := m.findMsg(int(t.Aux))
 		if !ok {
 			return fmt.Errorf("network: no in-flight message with seq %d", t.Aux)
 		}
@@ -246,26 +250,6 @@ func (m *Network) AppendKey(mode KeyMode, key []byte) []byte {
 		key = binary.AppendUvarint(key, uint64(msg.opIndex))
 	}
 	return key
-}
-
-// StepInfo implements Machine. Deliveries act for the issuing processor: all
-// of an agent's gates (per-module FIFO, in-flight caps, read blocking, sync
-// quiescence) wait only on the agent's own deliveries.
-func (m *Network) StepInfo(t Transition) explore.Info {
-	if t.Kind == TDeliver {
-		if i, ok := m.findMsg(t.Aux); ok {
-			msg := m.inflight[i]
-			op := mem.OpWrite
-			if msg.isRead {
-				op = mem.OpRead
-			}
-			info := explore.Info{Agent: msg.proc, Addr: msg.addr, Op: op}
-			info.AddrBit, _ = m.fpAddrBit(msg.addr)
-			return info
-		}
-		return explore.Info{Agent: t.Proc, Opaque: true}
-	}
-	return m.execInfo(t.Proc)
 }
 
 // Footprints implements Machine: each processor's static suffix plus its

@@ -167,9 +167,6 @@ func newRelaxed(p *program.Program, mode relaxMode, name string) *Relaxed {
 	return m
 }
 
-// Clone implements Machine.
-func (m *Relaxed) Clone() Machine { return m.CloneInto(nil) }
-
 // Behavior implements Machine: the mode and the delay set, so the bus
 // machines share the tso machine's identity.
 func (m *Relaxed) Behavior() Behavior {
@@ -289,21 +286,30 @@ func (m *Relaxed) forwardFrom(p int, a mem.Addr) (mem.Value, bool) {
 	return 0, false
 }
 
-// Transitions implements Machine. RMO read transitions carry in Aux the
-// offset from the reader's cursor of the history version they observe; all
-// other transitions use Aux 0 (TSO drains) or the drained address (PSO/RMO
-// drains), so key-equal states enumerate identical step lists.
-func (m *Relaxed) Transitions(ts []Transition) []Transition {
+// Transitions implements Machine. A drain retires one buffered write, an
+// access by the buffering processor (its agent); every gate (buffer room,
+// sync drain) waits on the agent's own buffer, and the RMO read-version choice
+// set grows only through conflicting writes, which the reducer already
+// orders. RMO read steps carry in Aux the offset from the reader's cursor of
+// the history version they observe; all other steps use Aux 0 (TSO drains) or
+// the drained address (PSO/RMO drains), so key-equal states enumerate
+// identical step lists. On RMO every sync is additionally a full fence: Apply
+// snaps the issuer's staleness cursors for ALL locations to the histories as
+// of the fence, so the step is dependent on every other processor's write
+// commits and on every other fence — more than a single-address Info can say,
+// hence the Fence flag. TSO and PSO carry no cursor state and need no fence
+// axis.
+func (m *Relaxed) Transitions(ts []explore.Step) []explore.Step {
 	for p := range m.threads {
 		switch m.mode {
 		case relaxTSO:
-			if len(m.buffers[p]) > 0 {
-				ts = append(ts, Transition{Kind: TDrain, Proc: p})
+			if b := m.buffers[p]; len(b) > 0 {
+				ts = append(ts, m.step(TDrain, p, 0, p, b[0].addr, mem.OpWrite))
 			}
 		default:
 			for i, e := range m.buffers[p] {
 				if m.drainIndex(p, e.addr) == i {
-					ts = append(ts, Transition{Kind: TDrain, Proc: p, Aux: int(e.addr)})
+					ts = append(ts, m.step(TDrain, p, int64(e.addr), p, e.addr, mem.OpWrite))
 				}
 			}
 		}
@@ -311,30 +317,33 @@ func (m *Relaxed) Transitions(ts []Transition) []Transition {
 		if err != nil || !ok || m.delayBlocked(p) {
 			continue
 		}
+		exec := m.execStep(p, req)
 		switch {
 		case req.Op.IsSync():
 			if len(m.buffers[p]) > 0 {
 				continue // sync waits for the buffer to drain
 			}
-			ts = append(ts, Transition{Kind: TExec, Proc: p})
+			exec.Fence = m.mode == relaxRMO
+			ts = append(ts, exec)
 		case req.Op == mem.OpWrite:
 			if len(m.buffers[p]) >= bufferDepth {
 				continue // buffer full: stall until a drain
 			}
-			ts = append(ts, Transition{Kind: TExec, Proc: p})
+			ts = append(ts, exec)
 		default: // OpRead
 			if m.mode != relaxRMO {
-				ts = append(ts, Transition{Kind: TExec, Proc: p})
+				ts = append(ts, exec)
 				continue
 			}
 			if _, fwd := m.forwardFrom(p, req.Addr); fwd {
-				ts = append(ts, Transition{Kind: TExec, Proc: p})
+				ts = append(ts, exec)
 				continue
 			}
 			i, h := m.ensureHist(req.Addr)
 			base := m.seen[p].getSlot(i, req.Addr)
 			for off := 0; off < len(h)-base; off++ {
-				ts = append(ts, Transition{Kind: TExec, Proc: p, Aux: off})
+				exec.Aux = int64(off)
+				ts = append(ts, exec)
 			}
 		}
 	}
@@ -342,7 +351,7 @@ func (m *Relaxed) Transitions(ts []Transition) []Transition {
 }
 
 // Apply implements Machine.
-func (m *Relaxed) Apply(t Transition) error {
+func (m *Relaxed) Apply(t explore.Step) error {
 	switch t.Kind {
 	case TDrain:
 		i := m.drainIndex(t.Proc, mem.Addr(t.Aux))
@@ -379,7 +388,7 @@ func (m *Relaxed) Apply(t Transition) error {
 				return nil
 			}
 			i, h := m.ensureHist(req.Addr)
-			idx := m.seen[t.Proc].getSlot(i, req.Addr) + t.Aux
+			idx := m.seen[t.Proc].getSlot(i, req.Addr) + int(t.Aux)
 			if idx < 0 || idx >= len(h) {
 				return fmt.Errorf("rmo: P%d read of x%d with out-of-range version offset %d", t.Proc, req.Addr, t.Aux)
 			}
@@ -478,36 +487,6 @@ func (m *Relaxed) AppendKey(mode KeyMode, key []byte) []byte {
 	return key
 }
 
-// StepInfo implements Machine. A drain retires one buffered write, an access
-// by the buffering processor (its agent); every gate (buffer room, sync
-// drain) waits on the agent's own buffer, and the RMO read-version choice set
-// grows only through conflicting writes, which the reducer already orders.
-// On RMO every sync is additionally a full fence: Apply snaps the issuer's
-// staleness cursors for ALL locations to the histories as of the fence, so
-// the step is dependent on every other processor's write commits and on
-// every other fence — more than a single-address Info can say, hence the
-// Fence flag. TSO and PSO carry no cursor state and need no fence axis.
-func (m *Relaxed) StepInfo(t Transition) explore.Info {
-	if t.Kind == TDrain {
-		a := mem.Addr(t.Aux)
-		if m.mode == relaxTSO {
-			if b := m.buffers[t.Proc]; len(b) > 0 {
-				a = b[0].addr
-			} else {
-				return explore.Info{Agent: t.Proc, Opaque: true}
-			}
-		}
-		info := explore.Info{Agent: t.Proc, Addr: a, Op: mem.OpWrite}
-		info.AddrBit, _ = m.fpAddrBit(a)
-		return info
-	}
-	info := m.execInfo(t.Proc)
-	if m.mode == relaxRMO && info.Op.IsSync() {
-		info.Fence = true
-	}
-	return info
-}
-
 // Footprints implements Machine: each processor's static suffix plus the
 // writes still sitting in its buffer. Wake footprints stay empty — every
 // enabling gate (buffer room, sync drain, delay set) depends on the
@@ -524,7 +503,7 @@ func (m *Relaxed) Footprints(buf []explore.AgentFootprints) []explore.AgentFootp
 				fp.Wild = true
 			}
 		}
-		// On RMO every remaining sync is a full fence (see StepInfo).
+		// On RMO every remaining sync is a full fence (see Transitions).
 		if m.mode == relaxRMO && fp.Sync {
 			fp.Fence = true
 		}

@@ -151,14 +151,14 @@ func TestRelaxedCloneIndependence(t *testing.T) {
 		if len(ts) == 0 {
 			t.Fatalf("%s: no transitions", m.Name())
 		}
-		c := m.Clone()
+		c := m.CloneInto(nil)
 		if err := c.Apply(ts[0]); err != nil {
 			t.Fatal(err)
 		}
 		if Key(m, KeyState) == Key(c, KeyState) {
 			t.Errorf("%s: applying a transition to the clone should change its key", m.Name())
 		}
-		if Key(m, KeyState) != Key(m.Clone(), KeyState) {
+		if Key(m, KeyState) != Key(m.CloneInto(nil), KeyState) {
 			t.Errorf("%s: fresh clone should key identically", m.Name())
 		}
 	}

@@ -24,9 +24,6 @@ func NewSC(p *program.Program) *SC {
 	return m
 }
 
-// Clone implements Machine.
-func (m *SC) Clone() Machine { return m.CloneInto(nil) }
-
 // Behavior implements Machine.
 func (m *SC) Behavior() Behavior { return Behavior{kind: kindSC} }
 
@@ -42,18 +39,18 @@ func (m *SC) CloneInto(dst Machine) Machine {
 }
 
 // Transitions implements Machine: any thread with a pending memory operation
-// may execute it atomically.
-func (m *SC) Transitions(ts []Transition) []Transition {
+// may execute it atomically, one access by the acting thread.
+func (m *SC) Transitions(ts []explore.Step) []explore.Step {
 	for p := range m.threads {
-		if _, ok, err := m.pending(p); err == nil && ok {
-			ts = append(ts, Transition{Kind: TExec, Proc: p})
+		if req, ok, err := m.pending(p); err == nil && ok {
+			ts = append(ts, m.execStep(p, req))
 		}
 	}
 	return ts
 }
 
 // Apply implements Machine.
-func (m *SC) Apply(t Transition) error {
+func (m *SC) Apply(t explore.Step) error {
 	if t.Kind != TExec {
 		return fmt.Errorf("SC: unexpected transition %s", t)
 	}
@@ -83,10 +80,6 @@ func (m *SC) AppendKey(mode KeyMode, key []byte) []byte {
 	key = append(key, 'M')
 	return appendMem(key, &m.memory)
 }
-
-// StepInfo implements Machine: every transition is one atomic access by the
-// acting thread.
-func (m *SC) StepInfo(t Transition) explore.Info { return m.execInfo(t.Proc) }
 
 // Footprints implements Machine: with no buffers or messages, an agent's
 // future accesses are exactly its static program suffix, every step is

@@ -76,7 +76,7 @@ func (r *raceProbe) observe(m Machine, steps []explore.Step) {
 	for i := range steps {
 		for j := i + 1; j < len(steps); j++ {
 			if races(steps[i], steps[j]) && r.racy.CompareAndSwap(false, true) {
-				r.state, r.a, r.b = m.Clone(), steps[i], steps[j]
+				r.state, r.a, r.b = m.CloneInto(nil), steps[i], steps[j]
 				return
 			}
 		}
@@ -98,7 +98,7 @@ func races(a, b explore.Step) bool {
 func (r *raceProbe) certify() (*core.Report, error) {
 	m := r.state
 	for _, t := range []explore.Step{r.a, r.b} {
-		if err := m.Apply(Transition{Kind: TransKind(t.Kind), Proc: t.Proc, Aux: int(t.Aux)}); err != nil {
+		if err := m.Apply(t); err != nil {
 			return nil, fmt.Errorf("building race witness: %w", err)
 		}
 	}

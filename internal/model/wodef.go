@@ -103,9 +103,6 @@ func newWO(p *program.Program, mode woMode, name string) *WeakOrdered {
 	}
 }
 
-// Clone implements Machine.
-func (m *WeakOrdered) Clone() Machine { return m.CloneInto(nil) }
-
 // Behavior implements Machine: the mode, so RP3-fence shares WO-def1's.
 func (m *WeakOrdered) Behavior() Behavior {
 	return Behavior{kind: kindWeakOrdered, mode: uint8(m.mode)}
@@ -159,11 +156,17 @@ func (m *WeakOrdered) syncEnabled(p int, req program.Request) bool {
 // on the NonAtomic machine.
 func (m *WeakOrdered) local(op mem.Op) bool { return !op.IsSync() || m.mode == modeNonAtomic }
 
-// Transitions implements Machine.
-func (m *WeakOrdered) Transitions(ts []Transition) []Transition {
+// Transitions implements Machine. A delivery acts for the propagation's
+// *source* processor: outstanding[src] is what it decrements, and every gate
+// that can freeze on undelivered propagations (WODef1's sync stall
+// drained(p), WODef2's reservation release drained(holder), per-(dst,addr)
+// FIFO order) waits on the source's deliveries, which is what lets the kernel
+// treat each processor plus its undelivered propagations as one agent.
+func (m *WeakOrdered) Transitions(ts []explore.Step) []explore.Step {
 	for i := range m.c.pending {
 		if m.c.deliverable(i) {
-			ts = append(ts, Transition{Kind: TDeliver, Proc: m.c.pending[i].dst, Aux: int(m.c.pending[i].seq)})
+			pr := &m.c.pending[i]
+			ts = append(ts, m.step(TDeliver, pr.dst, pr.seq, pr.src, pr.addr, mem.OpWrite))
 		}
 	}
 	for p := range m.threads {
@@ -177,17 +180,17 @@ func (m *WeakOrdered) Transitions(ts []Transition) []Transition {
 		if req.Op.Writes() && m.local(req.Op) && !m.c.canCommit(p) {
 			continue // finite write buffering: stall until a delivery frees room
 		}
-		ts = append(ts, Transition{Kind: TExec, Proc: p})
+		ts = append(ts, m.execStep(p, req))
 	}
 	return ts
 }
 
 // Apply implements Machine.
-func (m *WeakOrdered) Apply(t Transition) error {
+func (m *WeakOrdered) Apply(t explore.Step) error {
 	switch t.Kind {
 	case TDeliver:
-		src := m.c.propSrc(int64(t.Aux), t.Proc)
-		if err := m.c.deliver(int64(t.Aux), t.Proc); err != nil {
+		src, err := m.c.deliver(t.Aux, t.Proc)
+		if err != nil {
 			return err
 		}
 		// A reservation is released for good the moment its holder's
@@ -197,7 +200,7 @@ func (m *WeakOrdered) Apply(t Transition) error {
 		// commits its next write, giving two states with identical canonical
 		// keys (the 'V' section encodes effective reservations only)
 		// different futures.
-		if src >= 0 && m.c.drained(src) {
+		if m.c.drained(src) {
 			for i := 0; i < m.resv.len(); i++ {
 				if _, h := m.resv.at(i); h == src+1 {
 					m.resv.setAt(i, 0)
@@ -291,18 +294,6 @@ func (m *WeakOrdered) AppendKey(mode KeyMode, key []byte) []byte {
 		}
 	}
 	return key
-}
-
-// StepInfo implements Machine. Deliveries act for the *source* processor:
-// WODef1's sync stall (drained(p)) and WODef2's reservation release
-// (drained(holder)) both wait only on the stalled/holding agent's own
-// deliveries, which is what lets the kernel treat each processor plus its
-// undelivered propagations as one agent.
-func (m *WeakOrdered) StepInfo(t Transition) explore.Info {
-	if t.Kind == TDeliver {
-		return m.c.propInfo(int64(t.Aux), t.Proc, m.fpAddrBit)
-	}
-	return m.execInfo(t.Proc)
 }
 
 // Footprints implements Machine: each processor's static suffix plus the
