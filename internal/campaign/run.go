@@ -309,7 +309,9 @@ func FuzzVerdict(store *Store, p *program.Program, factories []litmus.Factory, x
 
 // minimizeInto delta-debugs p against each violating machine, recording the
 // reproducers in the verdict (and hence in the cache: a resumed or cache-hit
-// campaign re-emits identical files without re-shrinking).
+// campaign re-emits identical files without re-shrinking). A reproducer's
+// header lists the result keys of the Extra outcomes of one Check of the
+// minimized program on its machine, sorted; [] if that Check fails.
 func minimizeInto(v *Verdict, p *program.Program, x *model.Explorer) {
 	v.Reproducers = make(map[string]string, len(v.Violating))
 	v.ReproducersGo = make(map[string]string, len(v.Violating))
@@ -320,10 +322,16 @@ func minimizeInto(v *Verdict, p *program.Program, x *model.Explorer) {
 		}
 		min := fuzz.Minimize(p, f, x)
 		sz := fuzz.SizeOf(min)
+		var extra []string
+		if rep, err := (&fuzz.Checker{Explorer: x, Machines: []litmus.Factory{f}}).Check(min); err == nil {
+			for _, r := range rep.Machines[0].Extra {
+				extra = append(extra, r.Key())
+			}
+		}
 		header := []string{
 			fmt.Sprintf("minimized reproducer: %s violates Definition 2 on %s", p.Name, name),
 			fmt.Sprintf("size: %d thread(s), longest %d op(s), %d address(es)", sz.Threads, sz.MaxOps, sz.Addrs),
-			fmt.Sprintf("non-SC outcomes: %v", fuzz.ExtraOutcomes(min, f, x)),
+			fmt.Sprintf("non-SC outcomes: %v", extra),
 		}
 		v.Reproducers[name] = fuzz.EmitLitmus(min, header...)
 		v.ReproducersGo[name] = fmt.Sprintf("// %s: minimized Definition-2 violation on %s\n%s", min.Name, name, fuzz.EmitGo(min))

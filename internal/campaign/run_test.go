@@ -7,7 +7,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
+
+	"weakorder/internal/fuzz"
+	"weakorder/internal/litmus"
+	"weakorder/internal/model"
+	"weakorder/internal/program"
 )
 
 // runToCompletion runs a spec uninterrupted and returns its report bytes.
@@ -258,4 +265,68 @@ func TestMinimizedReproducersDeterministicAcrossResume(t *testing.T) {
 			t.Fatalf("reproducer %s differs across resume", f.Name())
 		}
 	}
+}
+
+// extraOutcomes is the oracle of a reproducer header's non-SC outcome list:
+// the result keys machine f produces on p outside the SC set, from separate
+// explorations of SC and of f, sorted; nil on error.
+func extraOutcomes(p *program.Program, f litmus.Factory, x *model.Explorer) []string {
+	scOut, _, err := x.Outcomes(model.NewSC(p))
+	if err != nil {
+		return nil
+	}
+	hwOut, _, err := x.Outcomes(f.New(p))
+	if err != nil {
+		return nil
+	}
+	var out []string
+	for k := range hwOut {
+		if _, ok := scOut[k]; !ok {
+			out = append(out, k)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestReproducerHeaderNonSCOutcomes checks the "non-SC outcomes" line of
+// every reproducer a minimizing campaign on the broken fixtures writes: it
+// must list the oracle's keys for the minimized program on its machine, and
+// at least one, since the reproducer witnesses a violation.
+func TestReproducerHeaderNonSCOutcomes(t *testing.T) {
+	spec := Spec{Seeds: 7, BaseSeed: 1, Machines: "broken", Minimize: true}
+	rep, _, err := (&Runner{Spec: spec}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := fuzz.DefaultExplorer()
+	n := 0
+	for i, sr := range rep.Programs {
+		_, p := ProgramFor(spec.BaseSeed, i)
+		for _, name := range sr.Violating {
+			f, ok := litmus.FactoryByName(name)
+			if !ok {
+				t.Fatalf("%s: unknown violating machine %q", sr.Name, name)
+			}
+			want := extraOutcomes(fuzz.Minimize(p, f, x), f, x)
+			if len(want) == 0 {
+				t.Errorf("%s on %s: the oracle finds no non-SC outcome", sr.Name, name)
+			}
+			const prefix = "# non-SC outcomes: "
+			var got string
+			for _, line := range strings.Split(sr.Reproducers[name], "\n") {
+				if strings.HasPrefix(line, prefix) {
+					got = line
+				}
+			}
+			if wantLine := prefix + fmt.Sprint(want); got != wantLine {
+				t.Errorf("%s on %s: header line %q, want %q", sr.Name, name, got, wantLine)
+			}
+			n++
+		}
+	}
+	if n == 0 {
+		t.Fatal("broken machines produced no reproducers; the header is untested")
+	}
+	t.Logf("%d reproducer headers checked", n)
 }

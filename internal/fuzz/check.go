@@ -11,13 +11,18 @@
 //     but not failing on — non-SC outcomes of racy ones. One SC exploration
 //     (model.Explorer.CheckSC) yields both the DRF0 verdict and the SC
 //     outcome set, and machines sharing a behaviour identity
-//     (model.Behavior) are explored once and reported under every name.
-//     With an auto-sized explorer (negative Workers, the service's setting)
-//     the SC pass and the machine explorations run side by side, with the
-//     report and error of running them in order.
+//     (model.Behavior) are explored once and reported under every name, each
+//     as a core.ContractReport. With an auto-sized explorer (negative
+//     Workers, the service's setting) the SC pass and the machine
+//     explorations run side by side, with the report and error of running
+//     them in order. Checker.Check is the one composition of a verdict: the
+//     facade's weakorder.VerifyContract is a one-machine Check, and so is the
+//     non-SC outcome list of a campaign reproducer's header.
 //   - Minimize delta-debugs a violating program (drop threads, drop
 //     instructions, merge addresses), re-verifying after every step that the
-//     program still obeys DRF0 and the violation still reproduces.
+//     program still obeys DRF0 and the violation still reproduces. That
+//     predicate needs one witness, so its machine exploration stops at the
+//     first non-SC outcome.
 //   - EmitGo / EmitLitmus render a minimized reproducer as ready-to-paste
 //     program.Builder code and as a corpus file in the repository's litmus
 //     text format.
@@ -34,7 +39,6 @@ import (
 
 	"weakorder/internal/core"
 	"weakorder/internal/litmus"
-	"weakorder/internal/mem"
 	"weakorder/internal/model"
 	"weakorder/internal/par"
 	"weakorder/internal/program"
@@ -74,16 +78,6 @@ func (c *Checker) machines() []litmus.Factory {
 	return litmus.WeaklyOrderedFactories()
 }
 
-// MachineReport is one machine's verdict on one program.
-type MachineReport struct {
-	Machine  string
-	Outcomes int
-	// Extra lists outcomes the machine produced outside the SC set. On a
-	// DRF0 program any entry is a Definition-2 violation; on a racy program
-	// entries are informational (evidence the relaxations are real).
-	Extra []mem.Result
-}
-
 // Report is the differential verdict for one program.
 type Report struct {
 	Prog       *program.Program
@@ -95,8 +89,13 @@ type Report struct {
 	// to compute.
 	// The campaign cache stores it so a cache hit can answer with the
 	// original figure while demonstrably doing zero new exploration.
-	States   int64
-	Machines []MachineReport
+	States int64
+	// Machines holds one Definition-2 verdict per machine under test, in
+	// factory order and under the factory's name (Hardware). Extra lists the
+	// outcomes a machine produced outside the SC set: on a DRF0 program any
+	// entry is a violation; on a racy one entries are informational
+	// (evidence the relaxations are real).
+	Machines []*core.ContractReport
 }
 
 // Violating returns the machines that broke the Definition-2 contract on this
@@ -109,7 +108,7 @@ func (r *Report) Violating() []string {
 	var out []string
 	for _, m := range r.Machines {
 		if len(m.Extra) > 0 {
-			out = append(out, m.Machine)
+			out = append(out, m.Hardware)
 		}
 	}
 	return out
@@ -134,7 +133,8 @@ func (r *Report) RacyNonSC() bool {
 // then Definition-2 containment is checked for every machine under test.
 // Factories whose machines share a behaviour identity (model.Behavior) are
 // explored once, by the first of them in factory order, and every one of them
-// is reported from that outcome set.
+// is reported from that outcome set, as a core.ContractReport under its own
+// name.
 //
 // The SC pass and the machine explorations are the items of one
 // par.ForEach. With a negative Explorer.Workers it is auto-sized from the par
@@ -207,14 +207,9 @@ func (c *Checker) Check(p *program.Program) (*Report, error) {
 	}
 	rep.DRF0 = v.sc.Race == nil
 	rep.SCOutcomes = len(v.sc.Outcomes)
-	rep.Machines = make([]MachineReport, len(machines))
+	rep.Machines = make([]*core.ContractReport, len(machines))
 	for i, f := range machines {
-		out := v.outs[run[i]]
-		rep.Machines[i] = MachineReport{
-			Machine:  f.Name,
-			Outcomes: len(out),
-			Extra:    core.CheckContract(p.Name, f.Name, rep.DRF0, v.sc.Outcomes, out).Extra,
-		}
+		rep.Machines[i] = core.CheckContract(p.Name, f.Name, rep.DRF0, v.sc.Outcomes, v.outs[run[i]])
 	}
 	return rep, nil
 }
@@ -252,9 +247,14 @@ func (v *verdict) item(i int) error {
 
 // violates reports whether the program (a) obeys DRF0 and (b) still produces
 // an outcome outside the SC set on the single given machine. It is the
-// predicate the shrinker re-verifies after every candidate reduction; any
-// exploration error (state budget, deadlock introduced by a bad reduction)
-// counts as "does not violate" so the candidate is simply rejected.
+// predicate the shrinker re-verifies after every candidate reduction. One
+// witness answers it, so the machine exploration stops at the first result
+// outside the SC set, and a witness accepts the candidate whatever error the
+// stopped run returns. Any error before a witness (state budget, deadlock
+// introduced by a bad reduction), or in the SC pass, counts as "does not
+// violate", so the candidate is simply rejected. At a parallel width the
+// answer for a candidate whose exploration exceeds the budget depends on
+// whether the schedule reaches a witness first.
 func violates(p *program.Program, f litmus.Factory, x *model.Explorer) bool {
 	if p == nil || len(p.Threads) == 0 || p.Validate() != nil {
 		return false
@@ -263,14 +263,16 @@ func violates(p *program.Program, f litmus.Factory, x *model.Explorer) bool {
 	if err != nil || sc.Race != nil {
 		return false
 	}
-	hwOut, _, err := x.Outcomes(f.New(p))
-	if err != nil {
-		return false
-	}
-	for k := range hwOut {
-		if _, ok := sc.Outcomes[k]; !ok {
-			return true
-		}
-	}
-	return false
+	hw := *x
+	hw.Mode = max(hw.Mode, model.KeyResult) // Outcomes' granularity: no two Results merge
+	witness := false
+	var key []byte
+	// The run's error decides nothing: the witness alone does.
+	_, _ = hw.Visit(f.New(p), func(m model.Machine) bool {
+		key = m.AppendResultKey(key[:0])
+		_, ok := sc.Outcomes[string(key)]
+		witness = !ok
+		return ok
+	})
+	return witness
 }

@@ -1,8 +1,6 @@
 package fuzz
 
 import (
-	"sort"
-
 	"weakorder/internal/litmus"
 	"weakorder/internal/mem"
 	"weakorder/internal/model"
@@ -13,8 +11,11 @@ import (
 // machine f: it greedily applies reductions — drop a whole thread, drop a
 // single instruction (fixing up branch targets), merge two addresses — and
 // keeps a reduction only if the reduced program still obeys DRF0 AND still
-// produces an outcome outside the SC set on f. The loop runs to a fixpoint,
-// so the result is 1-minimal with respect to the reduction set: removing any
+// produces an outcome outside the SC set on f. The machine exploration of
+// that check stops at its first non-SC outcome, and such a witness keeps the
+// reduction even if the stopped run reports an error (a state budget, say);
+// an error before any witness rejects it. The loop runs to a fixpoint, so
+// the result is 1-minimal with respect to the reduction set: removing any
 // single remaining thread or instruction, or merging any remaining address
 // pair, loses the violation.
 //
@@ -150,29 +151,4 @@ func SizeOf(p *program.Program) Size {
 		}
 	}
 	return s
-}
-
-// ExtraOutcomes recomputes, for reporting, the outcome keys machine f can
-// produce on p that the SC reference cannot. Keys are sorted for determinism;
-// errors yield nil (the caller already holds a verdict).
-func ExtraOutcomes(p *program.Program, f litmus.Factory, x *model.Explorer) []string {
-	if x == nil {
-		x = DefaultExplorer()
-	}
-	scOut, _, err := x.Outcomes(model.NewSC(p))
-	if err != nil {
-		return nil
-	}
-	hwOut, _, err := x.Outcomes(f.New(p))
-	if err != nil {
-		return nil
-	}
-	var out []string
-	for k := range hwOut {
-		if _, ok := scOut[k]; !ok {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

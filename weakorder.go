@@ -35,6 +35,7 @@ import (
 	"weakorder/internal/conditions"
 	"weakorder/internal/core"
 	"weakorder/internal/doall"
+	"weakorder/internal/fuzz"
 	"weakorder/internal/litmus"
 	"weakorder/internal/lockset"
 	"weakorder/internal/machine"
@@ -148,8 +149,8 @@ func ParseProgram(src string) (*ParseResult, error) { return program.Parse(src) 
 func MustParseProgram(src string) *ParseResult { return program.MustParse(src) }
 
 // CheckDRF0 decides Definition 3 for the program under DRF0, enumerating all
-// idealized executions (bounded to maxOps memory operations per execution
-// when the program can spin forever; pass 0 for the 64-op default).
+// idealized executions. When the program can spin forever, each execution is
+// bounded to 64 memory operations; CheckModel takes a different bound.
 func CheckDRF0(p *Program) (*ProgramReport, error) { return checkModel(p, core.DRF0{}, 0) }
 
 // CheckDRF1 decides Definition 3 under the refined model.
@@ -204,20 +205,20 @@ const (
 // NewMachine instantiates an operational model for the program. It panics on
 // an unknown model, which Outcomes and VerifyContract return as an error.
 func NewMachine(m HardwareModel, p *Program) Machine {
-	mach, err := newMachine(m, p)
+	f, err := factory(m)
 	if err != nil {
 		panic(err)
 	}
-	return mach
+	return f.New(p)
 }
 
-// newMachine is NewMachine with an unknown model reported as an error.
-func newMachine(m HardwareModel, p *Program) (Machine, error) {
+// factory resolves a hardware model by name, reporting an unknown one.
+func factory(m HardwareModel) (litmus.Factory, error) {
 	f, ok := litmus.FactoryByName(string(m))
 	if !ok {
-		return nil, fmt.Errorf("weakorder: unknown hardware model %q", string(m))
+		return f, fmt.Errorf("weakorder: unknown hardware model %q", string(m))
 	}
-	return f.New(p), nil
+	return f, nil
 }
 
 func newExplorer() *model.Explorer { return &model.Explorer{MaxTraceOps: 64} }
@@ -225,34 +226,31 @@ func newExplorer() *model.Explorer { return &model.Explorer{MaxTraceOps: 64} }
 // Outcomes enumerates the results the hardware model can produce for the
 // program.
 func Outcomes(m HardwareModel, p *Program) (OutcomeSet, error) {
-	mach, err := newMachine(m, p)
+	f, err := factory(m)
 	if err != nil {
 		return nil, err
 	}
-	out, _, err := newExplorer().Outcomes(mach)
+	out, _, err := newExplorer().Outcomes(f.New(p))
 	return out, err
 }
 
 // VerifyContract performs Definition 2's check for one program on one
-// hardware model: one SC exploration decides DRF0 and collects the SC
-// outcome set (model.Explorer.CheckSC), one more enumerates the hardware's,
-// and the report says whether every hardware outcome is sequentially
-// consistent. An unknown model is reported before anything is explored.
+// hardware model. It is fuzz.Checker.Check on that one machine with the
+// facade's 64-op trace bound: one SC exploration decides DRF0 and collects
+// the SC outcome set (model.Explorer.CheckSC), one more enumerates the
+// hardware's, and the report says whether every hardware outcome is
+// sequentially consistent. An unknown model is reported before anything is
+// explored; an exploration error comes back as Check returns it.
 func VerifyContract(m HardwareModel, p *Program) (*ContractReport, error) {
-	mach, err := newMachine(m, p)
+	f, err := factory(m)
 	if err != nil {
 		return nil, err
 	}
-	x := newExplorer()
-	sc, err := x.CheckSC(p, false)
+	rep, err := (&fuzz.Checker{Explorer: newExplorer(), Machines: []litmus.Factory{f}}).Check(p)
 	if err != nil {
 		return nil, err
 	}
-	hw, _, err := x.Outcomes(mach)
-	if err != nil {
-		return nil, err
-	}
-	return core.CheckContract(p.Name, string(m), sc.Race == nil, sc.Outcomes, hw), nil
+	return rep.Machines[0], nil
 }
 
 // IsSequentiallyConsistent decides whether a recorded execution could have
