@@ -38,9 +38,10 @@ exists: 0:r0=0 && 1:r1=0
 
 // violation checks whether some outcome has both loads zero. Thread 0 loads
 // into r0, thread 1 into r1; the Result records them by (proc, op index 1).
+// An outcome set holds result keys, and Result decodes one.
 func violation(out weakorder.OutcomeSet) bool {
 	for _, k := range out.Keys() {
-		r := out[k]
+		r := out.Result(k)
 		v0 := r.Reads[weakorder.ReadKeyOf(0, 1)]
 		v1 := r.Reads[weakorder.ReadKeyOf(1, 1)]
 		if v0 == 0 && v1 == 0 {

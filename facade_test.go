@@ -225,7 +225,7 @@ func TestFacadeReadKeyOf(t *testing.T) {
 	// Thread 1's final read of d (some op index >= 1) must be 1 in every
 	// result; locate it via ReadKeyOf over plausible indices.
 	for _, k := range out.Keys() {
-		r := out[k]
+		r := out.Result(k)
 		found := false
 		for idx := 1; idx < 64; idx++ {
 			if v, ok := r.Reads[weakorder.ReadKeyOf(1, idx)]; ok && v == 1 {

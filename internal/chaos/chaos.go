@@ -121,11 +121,11 @@ func CanonicalKey(r mem.Result) string {
 }
 
 // CanonicalSet maps an outcome set to its canonical-key form for containment
-// checks against timed outcomes.
+// checks against timed outcomes, decoding each member's Result.
 func CanonicalSet(out core.OutcomeSet) map[string]bool {
 	set := make(map[string]bool, len(out))
-	for _, r := range out {
-		set[CanonicalKey(r)] = true
+	for k := range out {
+		set[CanonicalKey(out.Result(k))] = true
 	}
 	return set
 }

@@ -9,11 +9,13 @@ import (
 )
 
 // OutcomeSet is the set of distinct results a machine can produce for a
-// program, keyed by mem.Result.Key().
-type OutcomeSet map[string]mem.Result
+// program, held as their result keys (mem.Result.Key): the key determines the
+// Result, and answering containment needs nothing else. Result decodes a
+// member where something reads one.
+type OutcomeSet map[string]struct{}
 
 // Add inserts a result.
-func (s OutcomeSet) Add(r mem.Result) { s[r.Key()] = r }
+func (s OutcomeSet) Add(r mem.Result) { s[r.Key()] = struct{}{} }
 
 // Contains reports whether the set holds the result.
 func (s OutcomeSet) Contains(r mem.Result) bool {
@@ -31,6 +33,20 @@ func (s OutcomeSet) Keys() []string {
 	return ks
 }
 
+// Result decodes the Result of one of the set's keys (mem.ParseResultKey).
+// It panics when key is not in the set or is not a result key, which no key
+// that Add or an explorer stores can be.
+func (s OutcomeSet) Result(key string) mem.Result {
+	if _, ok := s[key]; !ok {
+		panic(fmt.Sprintf("core: outcome %q is not in the set", key))
+	}
+	r, err := mem.ParseResultKey(key)
+	if err != nil {
+		panic(fmt.Sprintf("core: outcome set member: %v", err))
+	}
+	return r
+}
+
 // ContractReport records the Definition-2 check for one program on one
 // hardware model: hardware is weakly ordered w.r.t. a synchronization model
 // iff it appears sequentially consistent to all software obeying the model.
@@ -46,7 +62,7 @@ type ContractReport struct {
 	ObeysModel bool
 	// SCOutcomes / HWOutcomes are the result-set sizes.
 	SCOutcomes, HWOutcomes int
-	// Extra lists hardware outcomes outside the SC set.
+	// Extra lists hardware outcomes outside the SC set, in key order.
 	Extra []mem.Result
 }
 
@@ -75,7 +91,8 @@ func (c *ContractReport) String() string {
 
 // CheckContract performs the Definition-2 containment check given the SC
 // outcome set, the hardware outcome set, and whether the program obeys the
-// synchronization model.
+// synchronization model. Only the hardware keys outside the SC set are sorted
+// and decoded.
 func CheckContract(progName, hwName string, obeysModel bool, sc, hw OutcomeSet) *ContractReport {
 	rep := &ContractReport{
 		Program:    progName,
@@ -84,10 +101,15 @@ func CheckContract(progName, hwName string, obeysModel bool, sc, hw OutcomeSet) 
 		SCOutcomes: len(sc),
 		HWOutcomes: len(hw),
 	}
-	for _, k := range hw.Keys() {
+	var extra []string
+	for k := range hw {
 		if _, ok := sc[k]; !ok {
-			rep.Extra = append(rep.Extra, hw[k])
+			extra = append(extra, k)
 		}
+	}
+	sort.Strings(extra)
+	for _, k := range extra {
+		rep.Extra = append(rep.Extra, hw.Result(k))
 	}
 	return rep
 }

@@ -57,6 +57,7 @@
 package explore
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -327,25 +328,31 @@ func (s Stats) String() string {
 }
 
 // visitedSet stores, per visited state, the mask of steps NOT expanded from
-// it (asleep or outside the persistent set) — either keyed by fixed-seed
-// 128-bit digest (default: constant memory per state) or by the full key
-// bytes (FullKeys debug mode).
+// it (asleep or outside the persistent set) — either in a visitedTable keyed
+// by the state key's fixed-seed 128-bit digest (default: constant memory per
+// state) or in a map keyed by the full key bytes (FullKeys debug mode).
 type visitedSet struct {
-	hashed map[digest.Sum]uint64
-	full   map[string]uint64
+	table *visitedTable
+	full  map[string]uint64
 }
 
-// initialVisited is the visited store's starting capacity. The store grows
-// with the exploration and is never sized from MaxStates, which only bounds
-// the count: most explorations visit a few hundred states, and a map sized for
-// a 400 000-state budget costs more to allocate and clear than such a search.
-const initialVisited = 1024
-
-func newVisitedSet(fullKeys bool, capacity int) visitedSet {
+// newVisitedSet returns an empty store. Its table comes from the pool, and
+// free returns it there.
+func newVisitedSet(fullKeys bool) visitedSet {
 	if fullKeys {
-		return visitedSet{full: make(map[string]uint64, capacity)}
+		return visitedSet{full: make(map[string]uint64)}
 	}
-	return visitedSet{hashed: make(map[digest.Sum]uint64, capacity)}
+	return visitedSet{table: tablePool.Get().(*visitedTable)}
+}
+
+// free hands the store's table back to the pool, emptied, unless it grew past
+// maxPooledSlots. The store must not be used again.
+func (v *visitedSet) free() {
+	if t := v.table; t != nil && len(t.slots) <= maxPooledSlots {
+		t.reset()
+		tablePool.Put(t)
+	}
+	v.table = nil
 }
 
 // visit performs the visited-store transition of one entered state, given
@@ -358,10 +365,11 @@ func newVisitedSet(fullKeys bool, capacity int) visitedSet {
 func (v *visitedSet) visit(key []byte, sum digest.Sum, all, skip uint64, reserve func() bool) (todo uint64, isNew, over bool) {
 	var old uint64
 	var seen bool
+	var slot *visitedSlot
 	if v.full != nil {
 		old, seen = v.full[string(key)]
-	} else {
-		old, seen = v.hashed[sum]
+	} else if slot, seen = v.table.find(sum); seen {
+		old = slot.skip
 	}
 	switch {
 	case !seen && !reserve():
@@ -375,10 +383,13 @@ func (v *visitedSet) visit(key []byte, sum digest.Sum, all, skip uint64, reserve
 		}
 		old &= skip
 	}
-	if v.full != nil {
+	switch {
+	case v.full != nil:
 		v.full[string(key)] = old
-	} else {
-		v.hashed[sum] = old
+	case seen:
+		slot.skip = old
+	default:
+		v.table.insert(slot, sum, old)
 	}
 	return todo, isNew, false
 }
@@ -387,16 +398,115 @@ func (v *visitedSet) len() int {
 	if v.full != nil {
 		return len(v.full)
 	}
-	return len(v.hashed)
+	return v.table.n
+}
+
+// visitedTable is the digest-keyed store: an open-addressed table probed
+// linearly from the slot that the low bits of the digest's first word name.
+// A digest is already uniform, so there is no second hash. A slot is
+// occupied when it holds the table's generation, so reset empties the table
+// by advancing the generation, without clearing or reallocating it; that is
+// what lets one table serve exploration after exploration through the pool.
+type visitedTable struct {
+	slots []visitedSlot // a power of two
+	gen   uint32        // the current generation, never 0
+	n     int           // occupied slots
+}
+
+// visitedSlot is one stored state: its digest as two words, its skip mask,
+// and the generation that stored it (0: never used).
+type visitedSlot struct {
+	lo, hi uint64
+	skip   uint64
+	gen    uint32
+}
+
+const (
+	// minVisitedSlots is the size of a new table.
+	minVisitedSlots = 32
+	// maxPooledSlots bounds the tables the pool keeps (1 MiB of slots): the
+	// table of a larger exploration is dropped when it ends, so a
+	// multi-million-state run does not leave its table pinned.
+	maxPooledSlots = 1 << 15
+)
+
+// tablePool hands visited tables from one exploration to the next: a serial
+// run takes one, a parallel run one per stripe that receives a state, and
+// both free them when Run returns.
+var tablePool = sync.Pool{New: func() any {
+	return &visitedTable{slots: make([]visitedSlot, minVisitedSlots), gen: 1}
+}}
+
+// words splits a digest into the two words a slot stores.
+func words(sum digest.Sum) (lo, hi uint64) {
+	return binary.LittleEndian.Uint64(sum[:8]), binary.LittleEndian.Uint64(sum[8:])
+}
+
+// find returns the slot holding sum and true, or the free slot where sum
+// belongs and false.
+func (t *visitedTable) find(sum digest.Sum) (*visitedSlot, bool) {
+	lo, hi := words(sum)
+	mask := uint64(len(t.slots) - 1)
+	for i := lo & mask; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.gen != t.gen {
+			return s, false
+		}
+		if s.lo == lo && s.hi == hi {
+			return s, true
+		}
+	}
+}
+
+// insert stores sum with its skip mask in slot, the free slot find returned
+// for it, first doubling the table if the store would fill it past three
+// quarters.
+func (t *visitedTable) insert(slot *visitedSlot, sum digest.Sum, skip uint64) {
+	if 4*(t.n+1) > 3*len(t.slots) {
+		t.grow()
+		slot, _ = t.find(sum)
+	}
+	lo, hi := words(sum)
+	*slot = visitedSlot{lo: lo, hi: hi, skip: skip, gen: t.gen}
+	t.n++
+}
+
+// grow doubles the table and moves the current generation's slots into it.
+func (t *visitedTable) grow() {
+	old := t.slots
+	t.slots = make([]visitedSlot, 2*len(old))
+	mask := uint64(len(t.slots) - 1)
+	for _, s := range old {
+		if s.gen != t.gen {
+			continue
+		}
+		i := s.lo & mask
+		for t.slots[i].gen == t.gen {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = s
+	}
+}
+
+// reset empties the table by advancing its generation. When the counter
+// wraps, the slots are cleared once, so that no slot stored 2^32 resets
+// before reads as occupied.
+func (t *visitedTable) reset() {
+	t.n = 0
+	if t.gen++; t.gen == 0 {
+		clear(t.slots)
+		t.gen = 1
+	}
 }
 
 // visitedStore is a run's visited store, the one part of a state's entry
 // that differs by width: serialVisited for a serial run, stripedVisited for a
 // parallel one. visit performs the transition of visitedSet.visit for the
 // state with the given key, and reports over when the state is new and the
-// budget is spent.
+// budget is spent. free ends the store's use once the run is over.
 type visitedStore interface {
 	visit(key []byte, all, skip uint64) (todo uint64, isNew, over bool)
+	free()
 }
 
 // serialVisited is the visited store of a serial run: one visitedSet, whose
@@ -407,7 +517,7 @@ type serialVisited struct {
 }
 
 func newSerialVisited(fullKeys bool, budget int) *serialVisited {
-	v := &serialVisited{visitedSet: newVisitedSet(fullKeys, initialVisited)}
+	v := &serialVisited{visitedSet: newVisitedSet(fullKeys)}
 	v.reserve = func() bool { return v.len() < budget }
 	return v
 }
@@ -566,6 +676,7 @@ func (x *Explorer) Run(sys TransitionSystem, final func(TransitionSystem) bool) 
 		return x.runParallel(sys, final, width)
 	}
 	r := &run{x: x, visited: newSerialVisited(x.FullKeys, x.budget()), final: final}
+	defer r.visited.free()
 	w := r.newWorker(0)
 	err := w.dfs(sys.Clone(nil))
 	return w.stats, err

@@ -2,7 +2,7 @@
 // workers. The frontier is split over per-worker work-stealing deques (LIFO
 // for the owner, FIFO for thieves, so stolen items are the shallowest — and
 // therefore largest — pending subtrees), and the visited store becomes a
-// striped concurrent map whose per-shard mutex linearizes all skip-mask
+// striped concurrent store whose per-shard mutex linearizes all skip-mask
 // transitions of any one state. Masks only ever shrink (monotonic
 // intersection), and every bit removed is handed back to exactly one visit,
 // which expands it — so the parallel search performs the same set of
@@ -102,8 +102,7 @@ func (d *wsDeque) steal() (workItem, bool) {
 }
 
 // visitedShards is the stripe count of the concurrent visited store. 64
-// shards keep contention negligible at any realistic worker count while the
-// per-shard maps stay dense enough to be cache-friendly.
+// shards keep contention negligible at any realistic worker count.
 const visitedShards = 64
 
 // visitedShard is one stripe: the serial store behind its own mutex.
@@ -113,10 +112,12 @@ type visitedShard struct {
 }
 
 // stripedVisited is the concurrent visited store: states are assigned to
-// shards by the low bits of their digest — in FullKeys mode too, where the
+// shards by the last byte of their digest — in FullKeys mode too, where the
 // digest routes but the full key bytes deduplicate — so a state's shard, and
 // hence the mutex serializing its mask transitions, is a stable function of
-// the state alone.
+// the state alone. Within a shard's table the digest's first word places the
+// state, independently of its shard. A shard takes its table from the pool
+// when its first state arrives, so a small run touches few tables.
 type stripedVisited struct {
 	budget  int64
 	count   atomic.Int64 // distinct states committed (reservation-counted)
@@ -124,7 +125,7 @@ type stripedVisited struct {
 	shards  [visitedShards]visitedShard
 }
 
-func newStripedVisited(fullKeys bool, capacity, budget int) *stripedVisited {
+func newStripedVisited(fullKeys bool, budget int) *stripedVisited {
 	v := &stripedVisited{budget: int64(budget)}
 	v.reserve = func() bool {
 		if v.count.Add(1) > v.budget {
@@ -133,9 +134,10 @@ func newStripedVisited(fullKeys bool, capacity, budget int) *stripedVisited {
 		}
 		return true
 	}
-	per := capacity/visitedShards + 1
-	for i := range v.shards {
-		v.shards[i].visitedSet = newVisitedSet(fullKeys, per)
+	if fullKeys {
+		for i := range v.shards {
+			v.shards[i].visitedSet = newVisitedSet(true)
+		}
 	}
 	return v
 }
@@ -148,10 +150,20 @@ func newStripedVisited(fullKeys bool, capacity, budget int) *stripedVisited {
 // re-expands at most the mask difference, never loses a step.
 func (v *stripedVisited) visit(key []byte, all, skip uint64) (todo uint64, isNew, overBudget bool) {
 	sum := digest.Sum128(key)
-	sh := &v.shards[sum[0]&(visitedShards-1)]
+	sh := &v.shards[sum[digest.Size-1]&(visitedShards-1)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if sh.full == nil && sh.table == nil {
+		sh.visitedSet = newVisitedSet(false)
+	}
 	return sh.visit(key, sum, all, skip, v.reserve)
+}
+
+// free hands every shard's table back to the pool.
+func (v *stripedVisited) free() {
+	for i := range v.shards {
+		v.shards[i].free()
+	}
 }
 
 // pool is the frontier of a parallel run: per-worker work-stealing deques,
@@ -178,7 +190,8 @@ func (x *Explorer) runParallel(sys TransitionSystem, final func(TransitionSystem
 	}
 	p.pending.Store(1)
 	p.deques[0].push(workItem{sys: sys.Clone(nil)})
-	r := &run{x: x, visited: newStripedVisited(x.FullKeys, initialVisited, x.budget()), final: final, pool: p}
+	r := &run{x: x, visited: newStripedVisited(x.FullKeys, x.budget()), final: final, pool: p}
+	defer r.visited.free()
 	workers := make([]*worker, width)
 	var wg sync.WaitGroup
 	for id := range workers {

@@ -22,7 +22,8 @@
 //     instructions, merge addresses), re-verifying after every step that the
 //     program still obeys DRF0 and the violation still reproduces. That
 //     predicate needs one witness, so its machine exploration stops at the
-//     first non-SC outcome.
+//     first non-SC outcome, and it explores serially at every width, so its
+//     answer does not depend on a schedule.
 //   - EmitGo / EmitLitmus render a minimized reproducer as ready-to-paste
 //     program.Builder code and as a corpus file in the repository's litmus
 //     text format.
@@ -252,18 +253,21 @@ func (v *verdict) item(i int) error {
 // outside the SC set, and a witness accepts the candidate whatever error the
 // stopped run returns. Any error before a witness (state budget, deadlock
 // introduced by a bad reduction), or in the SC pass, counts as "does not
-// violate", so the candidate is simply rejected. At a parallel width the
-// answer for a candidate whose exploration exceeds the budget depends on
-// whether the schedule reaches a witness first.
+// violate", so the candidate is simply rejected. Both explorations run
+// serially whatever x.Workers says: the serial kernel visits states in one
+// fixed order, so whether a witness comes before the budget trips — and hence
+// the answer — is a function of the candidate and x alone.
 func violates(p *program.Program, f litmus.Factory, x *model.Explorer) bool {
 	if p == nil || len(p.Threads) == 0 || p.Validate() != nil {
 		return false
 	}
-	sc, err := x.CheckSC(p, true)
+	serial := *x
+	serial.Workers = 0
+	sc, err := serial.CheckSC(p, true)
 	if err != nil || sc.Race != nil {
 		return false
 	}
-	hw := *x
+	hw := serial
 	hw.Mode = max(hw.Mode, model.KeyResult) // Outcomes' granularity: no two Results merge
 	witness := false
 	var key []byte

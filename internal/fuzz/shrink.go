@@ -14,7 +14,8 @@ import (
 // produces an outcome outside the SC set on f. The machine exploration of
 // that check stops at its first non-SC outcome, and such a witness keeps the
 // reduction even if the stopped run reports an error (a state budget, say);
-// an error before any witness rejects it. The loop runs to a fixpoint, so
+// an error before any witness rejects it. The check explores serially
+// whatever x.Workers says, so the result is the same on every run. The loop runs to a fixpoint, so
 // the result is 1-minimal with respect to the reduction set: removing any
 // single remaining thread or instruction, or merging any remaining address
 // pair, loses the violation.

@@ -7,6 +7,7 @@ import (
 
 	"weakorder/internal/litmus"
 	"weakorder/internal/model"
+	"weakorder/internal/par"
 	"weakorder/internal/program"
 )
 
@@ -35,12 +36,15 @@ func paddedWitness() *program.Program {
 	return b.MustBuild()
 }
 
-// TestViolates pins the shrinker's predicate row by row, with the
-// exploration serial (Workers 0) and auto-sized (Workers -1): a DRF0
-// candidate is accepted once its machine exploration reaches an outcome
-// outside the SC set, even if a state budget would stop that exploration
-// later, and rejected when it is racy, invalid, empty, or when an error
-// comes before any witness.
+// TestViolates pins the shrinker's predicate row by row, with the explorer
+// serial (Workers 0) and auto-sized (Workers -1): a DRF0 candidate is
+// accepted once its machine exploration reaches an outcome outside the SC
+// set, even if a state budget would stop that exploration later, and
+// rejected when it is racy, invalid, empty, or when an error comes before
+// any witness. The predicate explores serially at every Workers setting, so
+// every row holds at both, and the row whose witness comes just before the
+// budget is repeated at a par width of 4, where an auto-sized exploration
+// would run four workers.
 func TestViolates(t *testing.T) {
 	p := paddedWitness()
 	const hwStates = 37 // the machine exploration of p, in full
@@ -82,14 +86,11 @@ func TestViolates(t *testing.T) {
 		f    string
 		max  int // MaxStates; 0 = DefaultExplorer's
 		want bool
-		// serial rows run at Workers 0 only: at a parallel width, whether
-		// the witness turns up before a budget smaller than the exploration
-		// trips depends on the schedule.
-		serial bool
 	}
+	beforeBudget := row{name: "witness before the budget", p: p, f: "WO-def2-noreserve", max: hwStates - 1, want: true}
 	rows := []row{
 		{name: "witness", p: p, f: "WO-def2-noreserve", want: true},
-		{name: "witness before the budget", p: p, f: "WO-def2-noreserve", max: hwStates - 1, want: true, serial: true},
+		beforeBudget,
 		{name: "no witness", p: p, f: "WO-def2"},
 		{name: "racy", p: racy, f: "WO-def2-noreserve"},
 		{name: "dangling branch", p: dangling, f: "WO-def2-noreserve"},
@@ -99,21 +100,28 @@ func TestViolates(t *testing.T) {
 	for budget := 1; budget < 10; budget++ {
 		rows = append(rows, row{name: fmt.Sprintf("budget %d", budget), p: p, f: "WO-def2-noreserve", max: budget})
 	}
+	check := func(t *testing.T, r row, workers int) {
+		t.Helper()
+		x := DefaultExplorer()
+		if r.max > 0 {
+			x.MaxStates = r.max
+		}
+		x.Workers = workers
+		if got := violates(r.p, mustFactory(t, r.f), x); got != r.want {
+			t.Errorf("violates(%s, %s) at Workers %d = %v, want %v", r.p.Name, r.f, workers, got, r.want)
+		}
+	}
 	for _, workers := range []int{0, -1} {
 		for _, r := range rows {
-			if r.serial && workers != 0 {
-				continue
-			}
 			t.Run(fmt.Sprintf("workers=%d/%s", workers, r.name), func(t *testing.T) {
-				x := DefaultExplorer()
-				if r.max > 0 {
-					x.MaxStates = r.max
-				}
-				x.Workers = workers
-				if got := violates(r.p, mustFactory(t, r.f), x); got != r.want {
-					t.Errorf("violates(%s, %s) = %v, want %v", r.p.Name, r.f, got, r.want)
-				}
+				check(t, r, workers)
 			})
 		}
 	}
+	t.Run("par width 4/"+beforeBudget.name, func(t *testing.T) {
+		defer par.SetWorkers(4)()
+		for i := 0; i < 200 && !t.Failed(); i++ {
+			check(t, beforeBudget, -1)
+		}
+	})
 }

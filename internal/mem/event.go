@@ -3,6 +3,7 @@ package mem
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -287,4 +288,83 @@ func AppendKeyFinal(b []byte, a Addr, v Value) []byte {
 	b = append(b, '=')
 	b = strconv.AppendInt(b, int64(v), 10)
 	return append(b, ';')
+}
+
+// ParseResultKey decodes a result key back into its Result. It is strict: it
+// accepts exactly the strings Key renders — reads in increasing (processor,
+// index) order, locations in increasing address order, every number in
+// canonical decimal and in range — so the Key of a decoded Result is the key
+// itself, byte for byte.
+func ParseResultKey(key string) (Result, error) {
+	reads, final, ok := strings.Cut(key, "|")
+	if !ok {
+		return Result{}, fmt.Errorf("mem: result key %q has no '|'", key)
+	}
+	r := Result{
+		Reads: make(map[ReadKey]Value, strings.Count(reads, ";")),
+		Final: make(map[Addr]Value, strings.Count(final, ";")),
+	}
+	last := ReadKey{Proc: -1}
+	for rest := reads; rest != ""; {
+		entry, tail, found := strings.Cut(rest, ";")
+		k, v, ok := parseRead(entry)
+		if !found || !ok {
+			return Result{}, fmt.Errorf("mem: result key %q: malformed read %q", key, entry)
+		}
+		if k.Proc < last.Proc || k.Proc == last.Proc && k.Index <= last.Index {
+			return Result{}, fmt.Errorf("mem: result key %q: read %q out of order", key, entry)
+		}
+		r.Reads[k], last, rest = v, k, tail
+	}
+	var prev Addr
+	for rest := final; rest != ""; {
+		entry, tail, found := strings.Cut(rest, ";")
+		a, v, ok := parseLocation(entry)
+		if !found || !ok {
+			return Result{}, fmt.Errorf("mem: result key %q: malformed location %q", key, entry)
+		}
+		if len(r.Final) > 0 && a <= prev {
+			return Result{}, fmt.Errorf("mem: result key %q: location %q out of order", key, entry)
+		}
+		r.Final[a], prev, rest = v, a, tail
+	}
+	return r, nil
+}
+
+// parseRead decodes one read of a result key without its ';':
+// "P<proc>.<index>=<value>".
+func parseRead(entry string) (ReadKey, Value, bool) {
+	lhs, v, ok := parseEntry(entry, 'P')
+	procs, index, dot := strings.Cut(lhs, ".")
+	p, okP := parseCount(procs, math.MaxInt)
+	i, okI := parseCount(index, math.MaxInt)
+	return ReadKey{Proc: ProcID(p), Index: int(i)}, v, ok && dot && okP && okI
+}
+
+// parseLocation decodes one final-memory location of a result key without
+// its ';': "x<addr>=<value>".
+func parseLocation(entry string) (Addr, Value, bool) {
+	lhs, v, ok := parseEntry(entry, 'x')
+	a, okA := parseCount(lhs, math.MaxUint32)
+	return Addr(a), v, ok && okA
+}
+
+// parseEntry splits "<tag><lhs>=<value>" and decodes the value, which must be
+// a canonical decimal int64.
+func parseEntry(entry string, tag byte) (lhs string, v Value, ok bool) {
+	if entry == "" || entry[0] != tag {
+		return "", 0, false
+	}
+	lhs, val, ok := strings.Cut(entry[1:], "=")
+	x, err := strconv.ParseInt(val, 10, 64)
+	var buf [24]byte
+	return lhs, Value(x), ok && err == nil && string(strconv.AppendInt(buf[:0], x, 10)) == val
+}
+
+// parseCount decodes a canonical unsigned decimal (no sign, no leading zero)
+// of at most limit.
+func parseCount(s string, limit uint64) (uint64, bool) {
+	x, err := strconv.ParseUint(s, 10, 64)
+	var buf [24]byte
+	return x, err == nil && x <= limit && string(strconv.AppendUint(buf[:0], x, 10)) == s
 }

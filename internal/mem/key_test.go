@@ -86,5 +86,47 @@ func TestResultKeyMatchesFmt(t *testing.T) {
 		if got, want := c.r.Key(), fmtKey(c.r); got != want {
 			t.Errorf("%s: Key() = %q, fmt rendering %q", c.name, got, want)
 		}
+		if got, err := ParseResultKey(c.r.Key()); err != nil || !got.Equal(c.r) {
+			t.Errorf("%s: ParseResultKey(%q) = %v, %v; want %v", c.name, c.r.Key(), got, err, c.r)
+		}
+	}
+}
+
+// TestParseResultKeyRejects pins the decoder's strictness: every string
+// below differs from any key Result.Key renders, so ParseResultKey must
+// refuse it.
+func TestParseResultKeyRejects(t *testing.T) {
+	for _, key := range []string{
+		"",                           // no separator
+		"P0.0=1;",                    // no separator
+		"P0.0=1;||",                  // a second separator
+		"P0.0=1|",                    // unterminated read
+		"|x0=1",                      // unterminated location
+		"x0=1;|",                     // a location among the reads
+		"|P0.0=1;",                   // a read among the locations
+		"P0.0=;|",                    // no value
+		"P0=1;|",                     // no index
+		"P0.0.0=1;|",                 // two indices
+		"P0.0=1=2;|",                 // two values
+		"P1.0=1;P0.0=1;|",            // reads out of processor order
+		"P0.1=1;P0.0=1;|",            // reads out of index order
+		"P0.0=1;P0.0=1;|",            // a repeated read
+		"|x1=0;x0=0;",                // locations out of order
+		"|x0=0;x0=0;",                // a repeated location
+		"P00.0=1;|",                  // a leading zero
+		"P0.0=+1;|",                  // a sign on a value
+		"P0.0=-0;|",                  // negative zero
+		"P0.0=01;|",                  // a leading zero on a value
+		"P-1.0=1;|",                  // a negative processor
+		"P0.-1=1;|",                  // a negative index
+		"|x-1=0;",                    // a negative address
+		"|x4294967296=0;",            // an address past 32 bits
+		"P0.0=9223372036854775808;|", // a value past int64
+		"P 0.0=1;|",                  // a space
+		"P0.0=1_0;|",                 // an underscore
+	} {
+		if r, err := ParseResultKey(key); err == nil {
+			t.Errorf("ParseResultKey(%q) = %v, want an error", key, r)
+		}
 	}
 }

@@ -102,7 +102,7 @@ func explore(t *testing.T, x *model.Explorer, f litmus.Factory, p *program.Progr
 	t.Helper()
 	out := make(core.OutcomeSet)
 	st, err := x.Visit(f.New(p), func(m model.Machine) bool {
-		out.Add(m.Result())
+		out.Add(model.ResultOf(m))
 		return true
 	})
 	if err != nil && !errors.Is(err, model.ErrStateBudget) {

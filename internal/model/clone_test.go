@@ -52,7 +52,7 @@ func snap(m Machine) snapshot {
 		result:    Key(m, KeyResult),
 		execution: Key(m, KeyExecution),
 		trace:     m.Trace().String(),
-		outcome:   m.Result().Key(),
+		outcome:   ResultOf(m).Key(),
 		traceLen:  m.TraceLen(),
 	}
 }
@@ -132,10 +132,10 @@ func TestCloneIndependenceComputedAddrs(t *testing.T) {
 					t.Fatalf("%s: stuck state", name)
 				}
 				finals++
-				final := m.Result().Final
+				final := ResultOf(m).Final
 				for _, a := range []mem.Addr{5, 9} {
 					if _, ok := final[a]; !ok {
-						t.Errorf("%s: Result().Final %v lacks overflow location x%d", name, final, a)
+						t.Errorf("%s: ResultOf(m).Final %v lacks overflow location x%d", name, final, a)
 					}
 				}
 				if final[5] != 7 || (final[9] != 6 && final[9] != 4) {

@@ -168,8 +168,9 @@ func (x *Explorer) visit(m Machine, race *raceProbe, fn func(Machine) bool) (Sta
 }
 
 // Outcomes collects the set of distinct Results (the paper's notion: all read
-// values plus final memory) the machine can produce. It forces at least
-// KeyResult granularity so deduplication cannot merge distinct Results.
+// values plus final memory) the machine can produce, as their result keys. It
+// forces at least KeyResult granularity so deduplication cannot merge
+// distinct Results.
 func (x *Explorer) Outcomes(m Machine) (core.OutcomeSet, Stats, error) {
 	sub := *x
 	if sub.Mode < KeyResult {
@@ -180,15 +181,15 @@ func (x *Explorer) Outcomes(m Machine) (core.OutcomeSet, Stats, error) {
 	return out, st, err
 }
 
-// collect returns a Visit callback adding each terminal machine's Result to
-// out. It renders the Result's key from the machine first and builds the
-// Result only when the key is new to the set.
+// collect returns a Visit callback adding each terminal machine's result key
+// to out. The key is rendered into a reused buffer, so only a key new to the
+// set is copied.
 func collect(out core.OutcomeSet) func(Machine) bool {
 	var key []byte
 	return func(f Machine) bool {
 		key = f.AppendResultKey(key[:0])
 		if _, ok := out[string(key)]; !ok {
-			out[string(key)] = f.Result()
+			out[string(key)] = struct{}{}
 		}
 		return true
 	}

@@ -3,10 +3,12 @@ package model_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"weakorder/internal/campaign"
 	"weakorder/internal/litmus"
+	"weakorder/internal/mem"
 	"weakorder/internal/model"
 	"weakorder/internal/program"
 )
@@ -36,11 +38,13 @@ func computedBelowAbove() *program.Program {
 	return b.MustBuild()
 }
 
-// TestResultKeyRendering is the oracle of the map-free outcome keys: at every
+// TestResultKeyRendering is the round trip of the outcome keys: at every
 // terminal state of the litmus corpus, the first 64 programs of campaign seed
 // 1 and a program with overflow locations below and above its static
 // universe, on every machine with POR on and off, the key a machine renders
-// from its own state must equal the key of the Result it builds.
+// from its own state must decode (mem.ParseResultKey) to the Result the
+// oracle model.ResultOf assembles, and that Result's Key must be the
+// rendered key again.
 func TestResultKeyRendering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("explores every machine on 81 programs")
@@ -60,10 +64,20 @@ func TestResultKeyRendering(t *testing.T) {
 				x := &model.Explorer{Mode: model.KeyResult, FullExploration: full, MaxTraceOps: 40, MaxStates: 20_000}
 				var failure error
 				_, err := x.Visit(f.New(p), func(m model.Machine) bool {
-					r := m.Result()
-					got, want := string(m.AppendResultKey([]byte("prefix"))), "prefix"+r.Key()
-					if got != want {
-						failure = fmt.Errorf("%s on %s (full=%v): rendered %q, Result().Key() %q", p.Name, f.Name, full, got, want)
+					r := model.ResultOf(m)
+					rendered, ok := strings.CutPrefix(string(m.AppendResultKey([]byte("prefix"))), "prefix")
+					decoded, err := mem.ParseResultKey(rendered)
+					switch {
+					case !ok:
+						failure = fmt.Errorf("%s on %s (full=%v): AppendResultKey overwrote its buffer", p.Name, f.Name, full)
+					case err != nil:
+						failure = fmt.Errorf("%s on %s (full=%v): %v", p.Name, f.Name, full, err)
+					case !decoded.Equal(r):
+						failure = fmt.Errorf("%s on %s (full=%v): %q decodes to %v, the oracle's Result is %v", p.Name, f.Name, full, rendered, decoded, r)
+					case r.Key() != rendered:
+						failure = fmt.Errorf("%s on %s (full=%v): rendered %q, the oracle's Result renders %q", p.Name, f.Name, full, rendered, r.Key())
+					}
+					if failure != nil {
 						return false
 					}
 					if p.Name == "computed-below-above" {
@@ -102,12 +116,12 @@ func allMachines() []litmus.Factory {
 
 // TestExplorationAllocsPerState pins what a visited state costs in heap
 // objects: the serial outcome search of wrc-transitive-sync on each weakly
-// ordered machine, and its SC pass, allocate at most 4 objects per distinct
-// state. Recycled states, kernel-owned step buffers and map-free outcome keys
-// are what keep it there; a per-state copy, step list or Result would break
-// it.
+// ordered machine, and its SC pass, allocate at most 3 objects per distinct
+// state. Recycled states, kernel-owned step buffers, the pooled visited table
+// and outcome sets of result keys are what keep it there; a per-state copy,
+// step list or Result would break it.
 func TestExplorationAllocsPerState(t *testing.T) {
-	const limit = 4
+	const limit = 3
 	lt, ok := litmus.ByName("wrc-transitive-sync")
 	if !ok {
 		t.Fatal("wrc-transitive-sync is not in the litmus corpus")

@@ -94,7 +94,7 @@ func exploreFingerprintMatrix() fingerprintRun {
 					x := &model.Explorer{Mode: mode, FullExploration: full, MaxTraceOps: 40, MaxStates: fingerprintBudget}
 					out := make(core.OutcomeSet)
 					st, err := visit(p, x, f.New(p), func(m model.Machine) bool {
-						out.Add(m.Result())
+						out.Add(model.ResultOf(m.(*keyRecorder).Machine))
 						return true
 					})
 					fmt.Fprintf(h, "%d %s %s mode=%d full=%v: %s err=%v\n", pi, p.Name, f.Name, mode, full, st, err)

@@ -125,11 +125,10 @@ type Machine interface {
 	// Final returns the final state (registers and memory); meaningful once
 	// Done.
 	Final() *program.FinalState
-	// Result returns the paper's Result: all read values plus final memory.
-	Result() mem.Result
-	// AppendResultKey appends Result().Key() to b without building the
-	// Result: the outcome searches key every terminal state and build the
-	// Result only for a key new to their set.
+	// AppendResultKey appends the key of the machine's Result — the paper's
+	// Result, all read values plus final memory — to b: the bytes
+	// mem.Result.Key renders, straight from the machine's state. An outcome
+	// set holds these keys; mem.ParseResultKey decodes one.
 	AppendResultKey(b []byte) []byte
 	// Trace returns the recorded execution so far: accesses in completion
 	// (commit) order. For the SC machine this is an idealized execution.
@@ -285,8 +284,8 @@ func (b *base) finalState(memory *addrTable[mem.Value]) *program.FinalState {
 	return fs
 }
 
-// appendResultKey appends result(memory).Key() to key straight from the
-// read chains and the memory table. A processor's reads complete in program
+// appendResultKey appends the result key of the read chains and the memory
+// table to key. A processor's reads complete in program
 // order on every machine — each binds at issue, or blocks its issuer until
 // it does — so each read chain, walked backwards, lists its reads in index
 // order. The table lists its static slots, then its overflow, each in
@@ -315,28 +314,6 @@ func (b *base) appendResultKey(key []byte, memory *addrTable[mem.Value]) []byte 
 		key = mem.AppendKeyFinal(key, e.addr, e.v)
 	}
 	return key
-}
-
-// result assembles the paper's Result from the read history and a memory
-// view.
-func (b *base) result(memory *addrTable[mem.Value]) mem.Result {
-	reads := 0
-	for _, rc := range b.reads {
-		if rc.last != nil {
-			reads += int(rc.last.reads)
-		}
-	}
-	r := mem.Result{Reads: make(map[mem.ReadKey]mem.Value, reads), Final: make(map[mem.Addr]mem.Value, memory.len())}
-	for p := range b.reads {
-		for rd := b.reads[p].last; rd != nil; rd = rd.prevRead {
-			r.Reads[mem.ReadKey{Proc: mem.ProcID(p), Index: int(rd.opIndex)}] = rd.acc.Value
-		}
-	}
-	for i := 0; i < memory.len(); i++ {
-		a, v := memory.at(i)
-		r.Final[a] = v
-	}
-	return r
 }
 
 func (b *base) Name() string { return b.name }

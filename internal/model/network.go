@@ -278,8 +278,5 @@ func (m *Network) Footprints(buf []explore.AgentFootprints) []explore.AgentFootp
 // Final implements Machine.
 func (m *Network) Final() *program.FinalState { return m.finalState(&m.memory) }
 
-// Result implements Machine.
-func (m *Network) Result() mem.Result { return m.result(&m.memory) }
-
 // AppendResultKey implements Machine.
 func (m *Network) AppendResultKey(b []byte) []byte { return m.appendResultKey(b, &m.memory) }

@@ -514,8 +514,5 @@ func (m *Relaxed) Footprints(buf []explore.AgentFootprints) []explore.AgentFootp
 // Final implements Machine.
 func (m *Relaxed) Final() *program.FinalState { return m.finalState(&m.memory) }
 
-// Result implements Machine.
-func (m *Relaxed) Result() mem.Result { return m.result(&m.memory) }
-
 // AppendResultKey implements Machine.
 func (m *Relaxed) AppendResultKey(b []byte) []byte { return m.appendResultKey(b, &m.memory) }

@@ -91,8 +91,5 @@ func (m *SC) Footprints(buf []explore.AgentFootprints) []explore.AgentFootprints
 // Final implements Machine.
 func (m *SC) Final() *program.FinalState { return m.finalState(&m.memory) }
 
-// Result implements Machine.
-func (m *SC) Result() mem.Result { return m.result(&m.memory) }
-
 // AppendResultKey implements Machine.
 func (m *SC) AppendResultKey(b []byte) []byte { return m.appendResultKey(b, &m.memory) }

@@ -335,8 +335,5 @@ func (m *WeakOrdered) Footprints(buf []explore.AgentFootprints) []explore.AgentF
 // Final implements Machine.
 func (m *WeakOrdered) Final() *program.FinalState { return m.finalState(&m.c.data[0]) }
 
-// Result implements Machine.
-func (m *WeakOrdered) Result() mem.Result { return m.result(&m.c.data[0]) }
-
 // AppendResultKey implements Machine.
 func (m *WeakOrdered) AppendResultKey(b []byte) []byte { return m.appendResultKey(b, &m.c.data[0]) }

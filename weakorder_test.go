@@ -85,7 +85,7 @@ func TestFacadeOutcomesAndConditions(t *testing.T) {
 	// the shortest run... op indices are dynamic) — simply check all read
 	// values of d are 1 via the recorded final memory and reads.
 	for _, k := range out.Keys() {
-		r := out[k]
+		r := out.Result(k)
 		if r.Final[res.Names["d"]] != 1 {
 			t.Errorf("final d = %d", r.Final[res.Names["d"]])
 		}
