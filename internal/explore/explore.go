@@ -662,13 +662,16 @@ func (r *reducer) persistentMask(sys TransitionSystem, steps []Step) uint64 {
 //
 // The serial search is an explicit-stack depth-first traversal preserving
 // the pre-order of the step lists, so state spaces bounded only by MaxStates
-// cannot overflow the goroutine stack. Run allocates its working state
-// locally, so one Explorer may be shared by concurrent explorations.
+// cannot overflow the goroutine stack. Each run takes its working storage
+// from package pools and returns it there, so one Explorer may be shared by
+// concurrent explorations.
 //
 // Run never hands the caller's sys to final and never recycles it: the
-// search starts from a clone. States passed to final are the caller's to
-// keep; every other state the search drops is recycled as the storage of a
-// later clone (see TransitionSystem.Clone).
+// search starts from a clone. final may read the state it is handed only
+// until it returns, and must clone it to keep it: the state is then
+// recycled, like every other state the search drops, as the storage of a
+// later clone (see TransitionSystem.Clone). No state is on a free list, or
+// referenced by the kernel at all, once Run returns.
 func (x *Explorer) Run(sys TransitionSystem, final func(TransitionSystem) bool) (Stats, error) {
 	width, release := x.resolveWorkers()
 	defer release()
@@ -678,6 +681,7 @@ func (x *Explorer) Run(sys TransitionSystem, final func(TransitionSystem) bool) 
 	r := &run{x: x, visited: newSerialVisited(x.FullKeys, x.budget()), final: final}
 	defer r.visited.free()
 	w := r.newWorker(0)
+	defer w.release()
 	err := w.dfs(sys.Clone(nil))
 	return w.stats, err
 }
@@ -704,15 +708,18 @@ func (r *run) halt() {
 }
 
 // worker is one goroutine's share of a run: the reducer's scratch, the
-// reused key and sleep buffers, the free list and the stats. A serial run has
-// one worker and a parallel run one per goroutine; both enter every state
-// through worker.enter.
+// reused key and sleep buffers, the serial kernel's stack, the free list and
+// the stats. A serial run has one worker and a parallel run one per
+// goroutine; both enter every state through worker.enter. Workers come from
+// workerPool and go back to it when the run returns, so an exploration
+// starts with the buffers an earlier one grew.
 type worker struct {
 	run *run
 	red reducer
 	key []byte
 	// sleep is the sleep set of the child entered next; enter reads it only
-	// before it returns.
+	// before it returns. The serial kernel enters its root with it too, so a
+	// pooled worker must hold an empty one.
 	sleep []Step
 	// free holds the states this worker dropped, the storage of its next
 	// clones. In a parallel run states migrate between workers with the
@@ -720,6 +727,13 @@ type worker struct {
 	// would hoard them without the maxFree cap.
 	free  []TransitionSystem
 	stats Stats
+
+	// The serial kernel's scratch: the explicit DFS stack, and stepBufs[d],
+	// the step list of the stack frame at depth d, its only user (a child
+	// entered at depth d exists only once the frame that was there has been
+	// popped).
+	stack    []frame
+	stepBufs [][]Step
 
 	// A parallel worker's own scratch.
 	id    int
@@ -730,8 +744,38 @@ type worker struct {
 // maxFree caps a worker's free list.
 const maxFree = 64
 
+// workerPool hands workers, and with them their scratch, from one
+// exploration to the next.
+var workerPool = sync.Pool{New: func() any { return new(worker) }}
+
+// maxPooledDepth bounds the workers the pool keeps: a worker whose serial
+// stack grew deeper is dropped when its run ends, so one deep exploration
+// does not leave its stack and step buffers pinned.
+const maxPooledDepth = 1 << 10
+
+// newWorker takes a worker from the pool for run r.
 func (r *run) newWorker(id int) *worker {
-	return &worker{run: r, id: id, red: reducer{syncOrder: r.x.VisibleSyncOrder}}
+	w := workerPool.Get().(*worker)
+	w.run, w.id, w.red.syncOrder = r, id, r.x.VisibleSyncOrder
+	return w
+}
+
+// release hands w back to the pool once its run is over, holding buffers
+// only: its stats are zeroed, its sleep set emptied, and every state it
+// referenced (on its free list, in a stack frame, popped or not, or in an
+// unpublished sibling) forgotten, so no state has two owners. A worker whose
+// stack grew past maxPooledDepth is left to the collector instead.
+func (w *worker) release() {
+	clear(w.free)
+	clear(w.stack[:cap(w.stack)])
+	clear(w.pubs[:cap(w.pubs)])
+	w.free, w.stack, w.pubs = w.free[:0], w.stack[:0], w.pubs[:0]
+	w.sleep = w.sleep[:0]
+	w.stats = Stats{}
+	w.run = nil
+	if len(w.stepBufs) <= maxPooledDepth {
+		workerPool.Put(w)
+	}
 }
 
 // drop recycles a state the worker no longer references.
@@ -763,9 +807,9 @@ func (w *worker) apply(s TransitionSystem, t Step) error {
 // width: path bound, step computation into *buf, reduction masks, the
 // visited-store transition, budget, terminal delivery. It returns the frame
 // to expand and true when s has steps left to expand. Otherwise it drops s
-// onto the free list, whichever worker cloned it, except a terminal state
-// handed to final, which the callback may keep. (A parallel work item is
-// handed over under its deque's mutex, so no other worker holds its state.)
+// onto the free list, whichever worker cloned it, a terminal state once
+// final has returned. (A parallel work item is handed over under its deque's
+// mutex, so no other worker holds its state.)
 func (w *worker) enter(s TransitionSystem, sleep []Step, buf *[]Step) (frame, bool, error) {
 	r, x := w.run, w.run.x
 	if s.Prune() {
@@ -816,16 +860,22 @@ func (w *worker) enter(s TransitionSystem, sleep []Step, buf *[]Step) (frame, bo
 // deliver hands a terminal state to final on its first visit: the visited
 // store admitted its key just now, so this is its one delivery. The callback
 // is serialized — callers' closures are not required to be thread-safe — and
-// suppressed after a stop, so an early stop is prompt at any width.
+// suppressed after a stop, so an early stop is prompt at any width. A stop
+// the callback asks for is set before the mutex is released, so no other
+// worker delivers after it. final reads the state only until it returns, so
+// the state is then dropped.
 func (w *worker) deliver(s TransitionSystem) {
 	r := w.run
 	stopped := false
 	r.finalMu.Lock()
 	if !r.stop.Load() {
 		w.stats.Finals++
-		stopped = !r.final(s)
+		if stopped = !r.final(s); stopped {
+			r.stop.Store(true)
+		}
 	}
 	r.finalMu.Unlock()
+	w.drop(s)
 	if stopped {
 		r.halt()
 	}
@@ -836,33 +886,17 @@ func (w *worker) deliver(s TransitionSystem) {
 // sibling is, except the last, which consumes the frame's state in place.
 func (w *worker) dfs(root TransitionSystem) error {
 	x := w.run.x
-	stack := make([]frame, 0, 64)
-	// stepBufs[d] holds the step list of the stack frame at depth d, its only
-	// user: a child entered at depth d exists only once the frame that was
-	// there has been popped.
-	var stepBufs [][]Step
-	push := func(s TransitionSystem) error {
-		d := len(stack)
-		if d == len(stepBufs) {
-			stepBufs = append(stepBufs, nil)
-		}
-		f, descend, err := w.enter(s, w.sleep, &stepBufs[d])
-		if descend {
-			stack = append(stack, f)
-		}
+	if err := w.push(root); err != nil {
 		return err
 	}
-	if err := push(root); err != nil {
-		return err
-	}
-	for len(stack) > 0 && !w.run.stop.Load() {
-		top := &stack[len(stack)-1]
+	for len(w.stack) > 0 && !w.run.stop.Load() {
+		top := &w.stack[len(w.stack)-1]
 		i := top.nextPending(top.next)
 		if i == len(top.steps) {
 			// Defensive: enter never descends with nothing to expand, and
 			// the last pending step consumes its frame below.
 			w.drop(top.sys)
-			stack = stack[:len(stack)-1]
+			w.stack = w.stack[:len(w.stack)-1]
 			continue
 		}
 		top.next = i + 1
@@ -884,18 +918,32 @@ func (w *worker) dfs(root TransitionSystem) error {
 			// successor, the common case on long deterministic runs, clone
 			// nothing at all).
 			c = top.sys
-			stack = stack[:len(stack)-1]
+			w.stack = w.stack[:len(w.stack)-1]
 		} else {
 			c = w.clone(top.sys)
 		}
 		if err := w.apply(c, t); err != nil {
 			return err
 		}
-		if err := push(c); err != nil {
+		if err := w.push(c); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// push enters s, with the sleep set w.sleep, one level below the top of the
+// serial stack, and pushes its frame when it has steps to expand.
+func (w *worker) push(s TransitionSystem) error {
+	d := len(w.stack)
+	if d == len(w.stepBufs) {
+		w.stepBufs = append(w.stepBufs, nil)
+	}
+	f, descend, err := w.enter(s, w.sleep, &w.stepBufs[d])
+	if descend {
+		w.stack = append(w.stack, f)
+	}
+	return err
 }
 
 // budget is the effective MaxStates.

@@ -210,6 +210,7 @@ func (x *Explorer) runParallel(sys TransitionSystem, final func(TransitionSystem
 		st.Transitions += w.stats.Transitions
 		st.Finals += w.stats.Finals
 		st.Truncated += w.stats.Truncated
+		w.release()
 	}
 	return st, p.err
 }

@@ -321,17 +321,22 @@ func BenchmarkExplorerVisited(b *testing.B) {
 }
 
 // TestSmallExplorationAllocatesLittle pins what a 12-state exploration under
-// a 400 000-state budget allocates: under 8 KB serially and under 16 KB at
-// width 2. The visited tables come from the pool and are sized by the states
-// they hold, not by the budget; a fresh table per run, or one per stripe
-// whether used or not, would break it (the race detector's pool drops a
-// quarter of them, which the striped bound absorbs).
+// a 400 000-state budget allocates: under 2 KB serially and under 7 KB at
+// width 2 (4 KB and 14 KB under the race detector, whose pools drop a
+// quarter of their puts). The visited tables and the workers with their
+// scratch come from pools, and the tables are sized by the states they hold,
+// not by the budget; a fresh table or worker per run, or a table per stripe
+// whether used or not, would break it.
 func TestSmallExplorationAllocatesLittle(t *testing.T) {
 	const runs = 20
 	for _, row := range []struct {
-		workers int
-		limit   uint64
-	}{{1, 8 << 10}, {2, 16 << 10}} {
+		workers          int
+		limit, raceLimit uint64
+	}{{1, 2 << 10, 4 << 10}, {2, 7 << 10, 14 << 10}} {
+		limit := row.limit
+		if raceEnabled {
+			limit = row.raceLimit
+		}
 		x := &Explorer{MaxStates: 400_000, Workers: row.workers}
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -343,8 +348,104 @@ func TestSmallExplorationAllocatesLittle(t *testing.T) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= row.limit {
-			t.Errorf("workers=%d: a 12-state exploration allocated %d bytes, want under %d", row.workers, per, row.limit)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= limit {
+			t.Errorf("workers=%d: a 12-state exploration allocated %d bytes, want under %d", row.workers, per, limit)
 		}
+	}
+}
+
+// recycledFan is fanSystem with a Clone that copies into the dead state it
+// is given, counting in *fresh the clones made without one.
+type recycledFan struct {
+	fanSystem
+	fresh *int
+}
+
+func (f *recycledFan) Clone(reuse TransitionSystem) TransitionSystem {
+	c, _ := reuse.(*recycledFan)
+	if c == nil {
+		*f.fresh++
+		c = new(recycledFan)
+	}
+	*c = *f
+	return c
+}
+
+// TestTerminalStatesRecycled pins that a terminal state is recycled once
+// final returns: a serial search of a root with 11 terminal children clones
+// the root and its first child fresh, and every later child into the state
+// its elder sibling left (the last consumes the root in place). A kernel that
+// kept terminal states would clone all 10 elder children fresh.
+func TestTerminalStatesRecycled(t *testing.T) {
+	fresh := 0
+	finals := 0
+	st, err := (&Explorer{}).Run(&recycledFan{fanSystem: fanSystem{width: 11, picked: -1}, fresh: &fresh}, func(s TransitionSystem) bool {
+		if s.(*recycledFan).picked != finals {
+			t.Errorf("terminal state %d picked step %d", finals, s.(*recycledFan).picked)
+		}
+		finals++
+		return true
+	})
+	if err != nil || st.States != 12 || st.Finals != 11 || finals != 11 {
+		t.Fatalf("%v, %d finals delivered, err %v; want 12 states and 11 finals", st, finals, err)
+	}
+	if fresh != 2 {
+		t.Errorf("the search made %d fresh states, want 2", fresh)
+	}
+}
+
+// combSystem is a chain of n states, each with a second step off the chain
+// to a terminal state: the serial kernel keeps each chain state's frame for
+// that sibling while it descends, so its stack grows n frames deep.
+type combSystem struct {
+	n, depth int
+	off      int // 1 once a step left the chain
+}
+
+func (c *combSystem) Name() string { return "comb" }
+
+func (c *combSystem) Clone(TransitionSystem) TransitionSystem { d := *c; return &d }
+
+func (c *combSystem) Steps(steps []Step) []Step {
+	if c.Done() {
+		return steps
+	}
+	return append(steps, Step{Proc: 0, Info: Info{Opaque: true}}, Step{Proc: 1, Info: Info{Agent: 1, Opaque: true}})
+}
+
+func (c *combSystem) Apply(t Step) error {
+	if t.Proc == 0 {
+		c.depth++
+	} else {
+		c.off = 1
+	}
+	return nil
+}
+
+func (c *combSystem) Done() bool { return c.off == 1 || c.depth == c.n }
+
+func (c *combSystem) AppendKey(key []byte) []byte {
+	return binary.AppendUvarint(key, uint64(2*c.depth+c.off))
+}
+
+func (c *combSystem) Prune() bool { return false }
+
+func (c *combSystem) Footprints(buf []AgentFootprints) []AgentFootprints {
+	return append(buf, AgentFootprints{Future: Footprint{Opaque: true}}, AgentFootprints{Future: Footprint{Opaque: true}})
+}
+
+// TestDeepWorkerNotPooled pins the bound on the worker pool: the worker of a
+// serial run whose stack grew past maxPooledDepth is not pooled, so one deep
+// exploration does not pin its stack and step buffers for later ones.
+func TestDeepWorkerNotPooled(t *testing.T) {
+	const n = 2 * maxPooledDepth
+	st, err := (&Explorer{Workers: 1}).Run(&combSystem{n: n}, func(TransitionSystem) bool { return true })
+	if err != nil || st.States != 2*n+1 {
+		t.Fatalf("%v, err %v; want %d states", st, err, 2*n+1)
+	}
+	w := workerPool.Get().(*worker)
+	defer workerPool.Put(w)
+	if len(w.stepBufs) > maxPooledDepth {
+		t.Errorf("the pool kept a worker %d frames deep, over %d", len(w.stepBufs), maxPooledDepth)
 	}
 }

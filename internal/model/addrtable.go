@@ -16,15 +16,17 @@ type universe struct {
 	addrs []mem.Addr
 	// index[a-lo] is 1 + the slot of address a, or 0 when a is not in the
 	// universe. It is nil when the addresses are too sparse for it (see
-	// denseSpan); slot then binary-searches addrs.
+	// denseSpan); slot then scans addrs.
 	lo    mem.Addr
 	index []int32
 }
 
 // denseSpan bounds a direct index: a universe gets one when the span of its
 // addresses, highest minus lowest plus one, is at most denseSpan entries per
-// address. A sparse universe, such as two locations a million apart, keeps
-// the binary search instead of an index that is mostly holes.
+// address. A sparse universe, such as two locations a million apart, is
+// scanned instead of indexed by a table that is mostly holes: a scan reads
+// at most as many addresses as a clone copies memory slots, and the
+// universes of programs, generated ones included, hold a few addresses.
 const denseSpan = 4
 
 func newUniverse(addrs []mem.Addr) *universe {
@@ -45,13 +47,18 @@ func newUniverse(addrs []mem.Addr) *universe {
 // slot returns the slot of a static address, and false for an address
 // outside the universe.
 func (u *universe) slot(a mem.Addr) (int, bool) {
-	if u.index == nil {
-		return slices.BinarySearch(u.addrs, a)
+	if u.index != nil {
+		if d := a - u.lo; uint64(d) < uint64(len(u.index)) && u.index[d] != 0 {
+			return int(u.index[d]) - 1, true
+		}
+		return 0, false
 	}
-	if d := a - u.lo; uint64(d) < uint64(len(u.index)) && u.index[d] != 0 {
-		return int(u.index[d]) - 1, true
+	for i, b := range u.addrs {
+		if b >= a {
+			return i, b == a
+		}
 	}
-	return 0, false
+	return len(u.addrs), false
 }
 
 // addrTable holds one V per memory location: a dense slice over the

@@ -10,10 +10,10 @@ import (
 )
 
 // TestUniverseSlots checks both ways a universe resolves a static address:
-// through its direct index when its addresses lie close together, and by
-// binary search when they are too sparse for one. Either way slot must agree
-// with a binary search of the sorted addresses, for addresses inside, between
-// and beyond them.
+// through its direct index when its addresses lie close together, and by a
+// linear scan when they are too sparse for one. Either way slot must agree
+// with a binary search of the sorted addresses, for addresses inside,
+// between and beyond them.
 func TestUniverseSlots(t *testing.T) {
 	cases := []struct {
 		addrs   []mem.Addr
@@ -22,10 +22,12 @@ func TestUniverseSlots(t *testing.T) {
 		{nil, false},
 		{[]mem.Addr{7}, true},
 		{[]mem.Addr{0, 1, 2}, true},
-		{[]mem.Addr{10, 11, 12, 21}, true},     // span 12, 3 per address
-		{[]mem.Addr{10, 11, 12, 26}, false},    // span 17, over 4 per address
-		{[]mem.Addr{0, 1 << 20}, false},        // two locations far apart
-		{[]mem.Addr{0, math.MaxUint32}, false}, // the whole address space
+		{[]mem.Addr{10, 11, 12, 21}, true},                         // span 12, 3 per address
+		{[]mem.Addr{10, 11, 12, 26}, false},                        // span 17, over 4 per address
+		{[]mem.Addr{100, 101, 200, 201}, false},                    // four sparse locations
+		{[]mem.Addr{0, 1 << 20}, false},                            // two locations far apart
+		{[]mem.Addr{0, math.MaxUint32}, false},                     // the whole address space
+		{[]mem.Addr{3, 40, 41, 90, 200, 201, 500, 1 << 20}, false}, // eight sparse locations
 	}
 	for _, c := range cases {
 		u := newUniverse(c.addrs)
@@ -65,13 +67,13 @@ func spread(p *program.Program, stride mem.Addr) *program.Program {
 
 // TestSparseUniverseExploresAlike runs every machine on programs whose
 // universes take the direct index and on the same programs with their
-// addresses spread a million apart, which take the binary search: the
-// explorations must visit the same numbers of states, transitions and finals.
+// addresses spread a million apart, which take the scan: the explorations
+// must visit the same numbers of states, transitions and finals.
 func TestSparseUniverseExploresAlike(t *testing.T) {
 	for _, p := range commutePrograms() {
 		q := spread(p, 1<<20)
 		if newUniverse(p.Addrs()).index == nil || newUniverse(q.Addrs()).index != nil {
-			t.Fatalf("%s: the dense and spread programs do not take the index and the search", p.Name)
+			t.Fatalf("%s: the dense and spread programs do not take the index and the scan", p.Name)
 		}
 		for _, f := range commuteFactories() {
 			for _, mode := range []KeyMode{KeyState, KeyResult} {

@@ -3,6 +3,7 @@ package model
 import (
 	"cmp"
 	"slices"
+	"sync"
 
 	"weakorder/internal/core"
 	"weakorder/internal/explore"
@@ -82,21 +83,65 @@ type machineSystem struct {
 	m           Machine
 	mode        KeyMode
 	maxTraceOps int
-	race        *raceProbe // set on a CheckSC pass; shared by every clone
+	race        *raceProbe     // set on a CheckSC pass; shared by every clone
+	states      *runStates     // shared by every clone
+	next        *machineSystem // the state runStates recorded before this one
 }
 
 func (s *machineSystem) Name() string { return s.m.Name() }
 
 // Clone implements explore.TransitionSystem: the machine is copied into the
-// recycled state's machine.
+// recycled state's machine, or, without one, into a state runStates provides.
 func (s *machineSystem) Clone(reuse explore.TransitionSystem) explore.TransitionSystem {
 	c, _ := reuse.(*machineSystem)
 	if c == nil {
-		c = &machineSystem{}
+		c = s.states.fresh()
 	}
 	c.m = s.m.CloneInto(c.m)
-	c.mode, c.maxTraceOps, c.race = s.mode, s.maxTraceOps, s.race
+	c.mode, c.maxTraceOps, c.race, c.states = s.mode, s.maxTraceOps, s.race, s.states
 	return c
+}
+
+// deadStates holds, per machine kind, states whose exploration is over: the
+// storage of later explorations' fresh clones. A pooled state may come from
+// another program, whose machine CloneInto overwrites whole (it reuses any
+// dst of its kind that nothing references).
+var deadStates [kindWeakOrdered + 1]sync.Pool
+
+// runStates is what one exploration knows of its states: every one its
+// Clone(nil) calls handed out, linked through machineSystem.next, so that
+// once the kernel has returned, and references none of them, they can all go
+// to the pool of the machine's kind. The kernel clones without a recycled
+// state only when a worker's free list is empty, so the mutex is rarely
+// taken.
+type runStates struct {
+	pool *sync.Pool
+	mu   sync.Mutex
+	last *machineSystem
+}
+
+// fresh returns a state from the pool, or a new one, and records it.
+func (r *runStates) fresh() *machineSystem {
+	c, _ := r.pool.Get().(*machineSystem)
+	if c == nil {
+		c = &machineSystem{}
+	}
+	r.mu.Lock()
+	c.next, r.last = r.last, c
+	r.mu.Unlock()
+	return c
+}
+
+// release hands every recorded state to the pool, unlinked from the run.
+// The exploration must be over.
+func (r *runStates) release() {
+	for s := r.last; s != nil; {
+		next := s.next
+		s.next, s.race, s.states = nil, nil, nil
+		r.pool.Put(s)
+		s = next
+	}
+	r.last = nil
 }
 
 func (s *machineSystem) Steps(buf []explore.Step) []explore.Step {
@@ -140,7 +185,11 @@ func (s *machineSystem) Footprints(buf []explore.AgentFootprints) []explore.Agen
 
 // Visit runs the exploration, calling fn on every distinct completed machine
 // (Done() true, deduplicated under Mode). fn returning false stops early.
-// Visit reports statistics via the returned Stats even on early stop.
+// Visit reports statistics via the returned Stats even on early stop. fn may
+// read the machine it is handed only until it returns; the machine's storage
+// is then reused, by this exploration or, through a process-wide pool, by a
+// later one in any goroutine, so fn must clone (CloneInto(nil)) what it
+// keeps. Visit never modifies or keeps m.
 func (x *Explorer) Visit(m Machine, fn func(Machine) bool) (Stats, error) {
 	return x.visit(m, nil, fn)
 }
@@ -161,10 +210,13 @@ func (x *Explorer) visit(m Machine, race *raceProbe, fn func(Machine) bool) (Sta
 	if x.FullKeys {
 		mode |= keyFull
 	}
-	sys := &machineSystem{m: m, mode: mode, maxTraceOps: x.MaxTraceOps, race: race}
-	return k.Run(sys, func(s explore.TransitionSystem) bool {
+	states := &runStates{pool: &deadStates[m.Behavior().kind]}
+	sys := &machineSystem{m: m, mode: mode, maxTraceOps: x.MaxTraceOps, race: race, states: states}
+	st, err := k.Run(sys, func(s explore.TransitionSystem) bool {
 		return fn(s.(*machineSystem).m)
 	})
+	states.release()
+	return st, err
 }
 
 // Outcomes collects the set of distinct Results (the paper's notion: all read
@@ -196,7 +248,8 @@ func collect(out core.OutcomeSet) func(Machine) bool {
 }
 
 // FinalStates collects the distinct final states (registers + memory),
-// sufficient for litmus conditions; KeyState granularity suffices.
+// sufficient for litmus conditions; KeyState granularity suffices. Each
+// FinalState is built fresh, so fn may keep it.
 func (x *Explorer) FinalStates(m Machine, fn func(*program.FinalState) bool) (Stats, error) {
 	return x.Visit(m, func(f Machine) bool { return fn(f.Final()) })
 }

@@ -22,12 +22,12 @@ type progFootprints struct {
 }
 
 func computeFootprints(p *program.Program, u *universe) *progFootprints {
-	f := &progFootprints{}
+	f := &progFootprints{byPC: make([][]explore.Footprint, len(p.Threads))}
 	if len(u.addrs) <= 64 {
 		f.univ = u
 	}
-	for _, code := range p.Threads {
-		f.byPC = append(f.byPC, fpByPC(code, f.univ))
+	for i, code := range p.Threads {
+		f.byPC[i] = fpByPC(code, f.univ)
 	}
 	return f
 }
@@ -47,13 +47,13 @@ func orFP(dst *explore.Footprint, src explore.Footprint) {
 // suffice). Register-indexed addresses cannot be resolved statically and
 // degrade the footprint to Wild.
 func fpByPC(code program.Code, u *universe) []explore.Footprint {
-	own := make([]explore.Footprint, len(code))
+	fps := make([]explore.Footprint, len(code))
 	for i, in := range code {
 		op, ok := in.MemOp()
 		if !ok {
 			continue
 		}
-		fp := &own[i]
+		fp := &fps[i]
 		if in.UseAddrReg || u == nil {
 			fp.Wild = true
 		} else {
@@ -70,8 +70,6 @@ func fpByPC(code program.Code, u *universe) []explore.Footprint {
 			fp.Sync = true
 		}
 	}
-	fps := make([]explore.Footprint, len(code))
-	copy(fps, own)
 	for changed := true; changed; {
 		changed = false
 		for i := len(code) - 1; i >= 0; i-- {

@@ -195,16 +195,19 @@ type base struct {
 }
 
 func newBase(name string, p *program.Program) base {
+	n := p.NumThreads()
 	b := base{
-		name:  name,
-		prog:  p,
-		univ:  newUniverse(p.Addrs()),
-		reads: make([]readChain, p.NumThreads()),
+		name:    name,
+		prog:    p,
+		threads: make([]program.Thread, n),
+		univ:    newUniverse(p.Addrs()),
+		regs:    make([]int, n),
+		reads:   make([]readChain, n),
 	}
 	b.fp = computeFootprints(p, b.univ)
-	for _, code := range p.Threads {
-		b.threads = append(b.threads, program.NewThread(code))
-		b.regs = append(b.regs, code.LiveRegs())
+	for i, code := range p.Threads {
+		b.threads[i] = program.NewThread(code)
+		b.regs[i] = code.LiveRegs()
 	}
 	return b
 }
