@@ -37,7 +37,8 @@ func main() {
 	traceMode := flag.Bool("trace", false, "FILE is a recorded trace (JSON), not a program")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: racecheck [-model drf0|drf1] [-trace] FILE")
+		fmt.Fprintln(os.Stderr, "usage: racecheck [-model drf0|drf1] [-max-ops N] [-all] FILE")
+		fmt.Fprintln(os.Stderr, "       racecheck -trace [-model drf0|drf1] FILE.json")
 		os.Exit(2)
 	}
 	var m core.SyncModel

@@ -23,6 +23,10 @@
 // server loses nothing: on restart every incomplete campaign in -dir is
 // resumed automatically. SIGINT/SIGTERM shut down gracefully — in-flight
 // campaigns write a final checkpoint before the process exits.
+//
+// A request is refused before anything runs: 413 for a body over 1 MiB, 400
+// for a malformed one, a campaign "explore_workers" above the worker budget
+// (WEAKORDER_WORKERS, else GOMAXPROCS) or a "max_states" above 2 000 000.
 package main
 
 import (

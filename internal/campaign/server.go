@@ -15,8 +15,10 @@ import (
 	"strings"
 	"sync"
 
+	"weakorder/internal/explore"
 	"weakorder/internal/fuzz"
 	"weakorder/internal/litmus"
+	"weakorder/internal/par"
 	"weakorder/internal/program"
 )
 
@@ -243,7 +245,8 @@ func (st *campaignState) status(full bool) CampaignStatus {
 //
 // A POST body must be one JSON object of at most maxRequestBody bytes,
 // followed by nothing but whitespace: a larger body is answered 413, and
-// trailing data 400, before anything is explored or stored.
+// trailing data 400, before anything is explored or stored. So is, with 400,
+// a request that asks for more than the server runs (see checkBounds).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/check", s.handleCheck)
@@ -286,6 +289,10 @@ type CheckResponse struct {
 func (s *Server) handleCheck(w http.ResponseWriter, req *http.Request) {
 	var cr CheckRequest
 	if !decodeJSON(w, req, &cr) {
+		return
+	}
+	if err := checkBounds(0, cr.MaxStates); err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	if strings.TrimSpace(cr.Litmus) == "" {
@@ -341,6 +348,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if err := spec.Validate(); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	if err := checkBounds(spec.ExploreWorkers, spec.MaxStates); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -437,6 +448,20 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // maxRequestBody caps a request body in bytes. A check request carries one
 // litmus program and a campaign request a spec, each a few kilobytes.
 const maxRequestBody = 1 << 20
+
+// checkBounds rejects exploration settings above what the server runs: a
+// kernel width over the par budget, which would start that many goroutines
+// for every exploration, and a state budget over the kernel's safety net,
+// explore.DefaultMaxStates.
+func checkBounds(exploreWorkers, maxStates int) error {
+	if n := par.Workers(); exploreWorkers > n {
+		return fmt.Errorf("explore_workers %d exceeds the server's %d workers", exploreWorkers, n)
+	}
+	if maxStates > explore.DefaultMaxStates {
+		return fmt.Errorf("max_states %d exceeds %d", maxStates, explore.DefaultMaxStates)
+	}
+	return nil
+}
 
 // decodeJSON strictly decodes the request body as one JSON value into v, of
 // which only whitespace may follow. On failure it answers the request itself,

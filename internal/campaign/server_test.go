@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"weakorder/internal/explore"
 	"weakorder/internal/fuzz"
 	"weakorder/internal/litmus"
 	"weakorder/internal/model"
@@ -285,6 +286,60 @@ func TestRequestBodyBounds(t *testing.T) {
 	}
 	if st := srv.store.Stats(); st.Puts != 1 {
 		t.Errorf("the served check stored %d verdicts, want 1", st.Puts)
+	}
+}
+
+// TestRequestExplorationBounds pins the ceilings on what a client may ask the
+// service to run: a campaign's explore_workers above par.Workers(), which
+// would start that many goroutines for every exploration, and a max_states
+// above explore.DefaultMaxStates on either endpoint are answered 400 before
+// anything is explored, stored or registered. Requests at the ceilings are
+// served.
+func TestRequestExplorationBounds(t *testing.T) {
+	defer par.SetWorkers(2)()
+	srv, hs := newTestService(t)
+	_, p := ProgramFor(1, 0)
+	check := CheckRequest{Litmus: fuzz.EmitLitmus(p), Machines: "tso"}
+	spec := Spec{Seeds: 1, BaseSeed: 1, Machines: "tso"}
+	type request struct {
+		name, path string
+		body       any
+	}
+	wideSpec, bigSpec, bigCheck := spec, spec, check
+	wideSpec.ExploreWorkers = 3
+	bigSpec.MaxStates = explore.DefaultMaxStates + 1
+	bigCheck.MaxStates = explore.DefaultMaxStates + 1
+	for _, r := range []request{
+		{"explore_workers 3", "/v1/campaigns", wideSpec},
+		{"max_states over the net", "/v1/campaigns", bigSpec},
+		{"max_states over the net", "/v1/check", bigCheck},
+	} {
+		if code := postJSON(t, hs.URL+r.path, r.body, nil); code != http.StatusBadRequest {
+			t.Errorf("%s, %s: status %d, want %d", r.path, r.name, code, http.StatusBadRequest)
+		}
+	}
+	if st := srv.store.Stats(); st != (StoreStats{}) {
+		t.Errorf("refused requests reached the store: %+v", st)
+	}
+	var list []CampaignStatus
+	if code := getJSON(t, hs.URL+"/v1/campaigns", &list); code != http.StatusOK || len(list) != 0 {
+		t.Fatalf("refused submissions registered campaigns: status %d, %+v", code, list)
+	}
+
+	wideSpec.ExploreWorkers = 2
+	bigSpec.MaxStates = explore.DefaultMaxStates
+	bigCheck.MaxStates = explore.DefaultMaxStates
+	for _, sp := range []Spec{wideSpec, bigSpec} {
+		var accepted CampaignStatus
+		if code := postJSON(t, hs.URL+"/v1/campaigns", sp, &accepted); code != http.StatusAccepted {
+			t.Fatalf("campaign at the ceiling %+v: status %d, want %d", sp, code, http.StatusAccepted)
+		}
+		if final := waitDone(t, hs.URL, accepted.ID); final.Error != "" {
+			t.Fatalf("campaign at the ceiling %+v failed: %s", sp, final.Error)
+		}
+	}
+	if code := postJSON(t, hs.URL+"/v1/check", bigCheck, nil); code != http.StatusOK {
+		t.Errorf("/v1/check at max_states %d: status %d, want %d", bigCheck.MaxStates, code, http.StatusOK)
 	}
 }
 

@@ -89,12 +89,15 @@ func TestDef2ContainedInNoReserve(t *testing.T) {
 }
 
 // TestRelaxationLadderContainment: each rung of TSO -> PSO -> RMO keeps every
-// reordering of the rung below and adds one, so TSO ⊆ PSO ⊆ RMO.
+// reordering of the rung below and adds one, so TSO ⊆ PSO ⊆ RMO. The network
+// machine sits beside PSO, below it: PSO can delay a read to the moment the
+// network's queued read would reach memory, so network ⊆ PSO.
 func TestRelaxationLadderContainment(t *testing.T) {
 	for _, p := range randomPrograms() {
 		tso := outcomes(t, NewTSO(p))
 		pso := outcomes(t, NewPSO(p))
 		subset(t, p.Name+" tso⊆pso", tso, pso)
 		subset(t, p.Name+" pso⊆rmo", pso, outcomes(t, NewRMO(p)))
+		subset(t, p.Name+" network⊆pso", outcomes(t, NewNetwork(p)), pso)
 	}
 }

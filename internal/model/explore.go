@@ -72,13 +72,13 @@ type Stats = explore.Stats
 
 // machineSystem adapts a Machine to the kernel's TransitionSystem: it carries
 // the key mode and trace bound, and presents the machine's steps in a
-// canonical order. The machines emit deliveries in internal list order, which
-// is not a function of the state key (equivalent states reached along
-// different paths hold their pending lists in different cross-group orders),
-// so the adapter sorts by (Kind, Proc, Addr) — a total order on any one
-// state's steps, since per-(agent, addr) FIFO delivery makes at most one
-// delivery per (Proc, Addr) pair enabled at once — giving the kernel the
-// position-aligned step lists its per-state masks require.
+// canonical order. The machines emit drains and deliveries in internal list
+// order, which is not a function of the state key (equivalent states reached
+// along different paths hold their lists in different cross-group orders),
+// so the adapter sorts by (Kind, Proc, Addr) — a total order on them, since
+// per-(agent, addr) FIFO retirement enables at most one per (Proc, Addr)
+// pair at once — giving the kernel the position-aligned step lists its
+// per-state masks require.
 type machineSystem struct {
 	m           Machine
 	mode        KeyMode

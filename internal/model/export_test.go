@@ -15,8 +15,6 @@ func ResultOf(m Machine) mem.Result {
 		return m.result(&m.memory)
 	case *Relaxed:
 		return m.result(&m.memory)
-	case *Network:
-		return m.result(&m.memory)
 	case *WeakOrdered:
 		return m.result(&m.c.data[0])
 	}

@@ -10,7 +10,7 @@ import (
 // future footprints: for every (thread, pc), an over-approximation of every
 // memory access the thread can still perform from that pc. Computed once per
 // machine construction and shared, immutably, by all clones. Machines combine
-// it with their dynamic half (buffered writes, in-flight messages, pending
+// it with their dynamic half (buffered writes, queued reads, pending
 // propagations) in Footprints.
 type progFootprints struct {
 	// univ is the program's static universe: an address's dense bit index is
@@ -114,8 +114,8 @@ func (b *base) threadFootprint(p int) explore.Footprint {
 
 // appendThreadFootprints appends one AgentFootprints per processor, with the
 // static thread suffix as the future footprint and an empty wake footprint.
-// Machines OR their dynamic state (buffers, in-flight messages, propagations,
-// reservation stalls) on top before returning from Footprints.
+// Machines OR their dynamic state (buffers, propagations, reservation stalls)
+// on top before returning from Footprints.
 func (b *base) appendThreadFootprints(buf []explore.AgentFootprints) []explore.AgentFootprints {
 	for p := range b.threads {
 		buf = append(buf, explore.AgentFootprints{Future: b.threadFootprint(p)})

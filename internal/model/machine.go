@@ -8,10 +8,10 @@
 //   - Relaxed: the store-buffer machines of the relaxation ladder TSO, PSO
 //     and RMO. Figure 1's bus-based systems, where reads may pass buffered
 //     writes (configurations 1 and 3), are its TSO instance under their own
-//     names (NewWriteBuffer).
-//   - Network: a general-interconnection-network system without caches where
-//     accesses issue in program order but reach memory modules out of order
-//     (Figure 1, configuration 2).
+//     names (NewWriteBuffer). Its network mode (NewNetwork) is the
+//     general-interconnection-network system without caches, where accesses
+//     issue in program order but reach memory modules out of order (Figure 1,
+//     configuration 2): PSO's per-address buffer, in which reads queue too.
 //   - NonAtomic: a cache-based system with a general network where a write
 //     updates the writer's copy immediately and propagates to other
 //     processors' copies asynchronously (Figure 1, configuration 4), and
@@ -51,10 +51,12 @@ const (
 	// TExec executes the next memory operation of a thread (possibly only
 	// partially, e.g. enqueueing a write into a buffer).
 	TExec uint8 = iota
-	// TDrain retires the oldest entry of a processor's write buffer.
+	// TDrain retires the oldest entry of a processor's buffer, or of its
+	// entries for one address: a write into memory, or a network read from
+	// it.
 	TDrain
-	// TDeliver delivers one in-flight message (network request or a write
-	// propagation to one destination processor's copy).
+	// TDeliver delivers one write propagation to one destination
+	// processor's copy.
 	TDeliver
 )
 
@@ -167,7 +169,6 @@ type machineKind uint8
 const (
 	kindSC machineKind = iota
 	kindRelaxed
-	kindNetwork
 	kindWeakOrdered
 )
 

@@ -14,9 +14,11 @@ import (
 // hardware and keeps spin-loop state spaces bounded.
 const bufferDepth = 8
 
-// wbEntry is one buffered write awaiting retirement to memory.
+// wbEntry is one buffered write awaiting retirement to memory, or, on the
+// network machine, a queued read awaiting memory's value.
 type wbEntry struct {
 	addr    mem.Addr
+	read    bool // beside the 4-byte addr, so the entry stays 24 bytes
 	value   mem.Value
 	opIndex int
 }
@@ -70,17 +72,23 @@ const (
 	// speculation), so load buffering stays forbidden; the machine is
 	// "RMO-ish" rather than full SPARC RMO.
 	relaxRMO
+	// relaxNetwork is the PSO buffer, in which a read also queues behind its
+	// issuer's older writes to the location and blocks the issuer until it
+	// retires with memory's value. Nothing is forwarded, so the relaxation
+	// is a read overtaking an older write to another location.
+	relaxNetwork
 )
 
 // Relaxed is the family of single-memory store-buffer machines covering the
-// classic relaxation ladder TSO -> PSO -> RMO. All three share one commit
-// substrate: writes retire from per-processor buffers into a single global
-// memory (writes are multi-copy atomic — every processor observes a retired
-// write at the same instant), reads bind in program order at issue, and every
-// synchronization operation first drains the issuer's buffer, then executes
-// atomically against memory, then (RMO) discards any stale view — i.e. sync
-// acts as a full fence, which is what makes all three weakly ordered with
-// respect to DRF0 under the paper's Definition 2.
+// classic relaxation ladder TSO -> PSO -> RMO, and the network machine beside
+// PSO. All four share one commit substrate: writes retire from per-processor
+// buffers into a single global memory (writes are multi-copy atomic — every
+// processor observes a retired write at the same instant), reads bind in
+// program order — at issue, or on the network machine when they retire — and
+// every synchronization operation first drains the issuer's buffer, then
+// executes atomically against memory, then (RMO) discards any stale view —
+// i.e. sync acts as a full fence, which is what makes all four weakly ordered
+// with respect to DRF0 under the paper's Definition 2.
 //
 // The RMO staleness mechanism: memory keeps, per location, the history of
 // values it has held (the per-location write serialization), and each
@@ -94,7 +102,9 @@ type Relaxed struct {
 	mode   relaxMode
 	memory addrTable[mem.Value]
 	// buffers holds each processor's pending stores in issue order. TSO
-	// retires strictly FIFO; PSO/RMO retire FIFO per address only.
+	// retires strictly FIFO, the others FIFO per address only. A network
+	// read entry is always its buffer's newest: its issuer issues nothing
+	// until it retires.
 	buffers [][]wbEntry
 	// hist (RMO only) is the per-location value history: hist[a][0] is the
 	// oldest version still observable by some processor and the last entry
@@ -136,6 +146,12 @@ func NewWriteBuffer(p *program.Program, name string) *Relaxed {
 	}
 	return newRelaxed(p, relaxTSO, name)
 }
+
+// NewNetwork builds Figure 1's general-network system without caches
+// (configuration 2): accesses issue in program order and reach different
+// memory modules in any order, one module's in order. A read blocks its
+// issuer until the module answers; a sync waits for the issuer's accesses.
+func NewNetwork(p *program.Program) *Relaxed { return newRelaxed(p, relaxNetwork, "network-nocache") }
 
 // NewWriteBufferDelays builds a write-buffer machine that additionally
 // enforces a delay set: delays[t][k] lists the op indices of thread t that
@@ -260,7 +276,7 @@ func (m *Relaxed) pruneHist(i int) {
 }
 
 // drainIndex returns the buffer index the drain transition for (proc, addr)
-// retires: the head for TSO, the oldest same-address entry for PSO/RMO.
+// retires: the head for TSO, the oldest same-address entry otherwise.
 func (m *Relaxed) drainIndex(p int, a mem.Addr) int {
 	if m.mode == relaxTSO {
 		if len(m.buffers[p]) > 0 {
@@ -286,19 +302,19 @@ func (m *Relaxed) forwardFrom(p int, a mem.Addr) (mem.Value, bool) {
 	return 0, false
 }
 
-// Transitions implements Machine. A drain retires one buffered write, an
+// Transitions implements Machine. A drain retires one buffer entry, an
 // access by the buffering processor (its agent); every gate (buffer room,
-// sync drain) waits on the agent's own buffer, and the RMO read-version choice
-// set grows only through conflicting writes, which the reducer already
-// orders. RMO read steps carry in Aux the offset from the reader's cursor of
-// the history version they observe; all other steps use Aux 0 (TSO drains) or
-// the drained address (PSO/RMO drains), so key-equal states enumerate
-// identical step lists. On RMO every sync is additionally a full fence: Apply
+// sync drain, a queued read) waits on the agent's own buffer, and the RMO
+// read-version choice set grows only through conflicting writes, which the
+// reducer already orders. RMO read steps carry in Aux the offset from the
+// reader's cursor of the history version they observe; all other steps use
+// Aux 0 (TSO drains) or the drained address (other drains), so key-equal
+// states enumerate identical step lists. On RMO every sync is additionally a full fence: Apply
 // snaps the issuer's staleness cursors for ALL locations to the histories as
 // of the fence, so the step is dependent on every other processor's write
 // commits and on every other fence — more than a single-address Info can say,
-// hence the Fence flag. TSO and PSO carry no cursor state and need no fence
-// axis.
+// hence the Fence flag. The other modes carry no cursor state and need no
+// fence axis.
 func (m *Relaxed) Transitions(ts []explore.Step) []explore.Step {
 	for p := range m.threads {
 		switch m.mode {
@@ -309,9 +325,16 @@ func (m *Relaxed) Transitions(ts []explore.Step) []explore.Step {
 		default:
 			for i, e := range m.buffers[p] {
 				if m.drainIndex(p, e.addr) == i {
-					ts = append(ts, m.step(TDrain, p, int64(e.addr), p, e.addr, mem.OpWrite))
+					op := mem.OpWrite
+					if e.read {
+						op = mem.OpRead
+					}
+					ts = append(ts, m.step(TDrain, p, int64(e.addr), p, e.addr, op))
 				}
 			}
+		}
+		if b := m.buffers[p]; len(b) > 0 && b[len(b)-1].read {
+			continue // blocked until its queued read retires
 		}
 		req, ok, err := m.pending(p)
 		if err != nil || !ok || m.delayBlocked(p) {
@@ -360,6 +383,12 @@ func (m *Relaxed) Apply(t explore.Step) error {
 		}
 		e := m.buffers[t.Proc][i]
 		m.buffers[t.Proc] = append(m.buffers[t.Proc][:i], m.buffers[t.Proc][i+1:]...)
+		if e.read {
+			v := m.memory.get(e.addr)
+			m.record(t.Proc, e.opIndex, program.Request{Op: mem.OpRead, Addr: e.addr}, v, 0)
+			m.threads[t.Proc].Resolve(v)
+			return nil
+		}
 		m.commit(t.Proc, e.addr, e.value)
 		m.record(t.Proc, e.opIndex, program.Request{Op: mem.OpWrite, Addr: e.addr, Data: e.value}, 0, e.value)
 		return nil
@@ -377,6 +406,12 @@ func (m *Relaxed) Apply(t explore.Step) error {
 				addr: req.Addr, value: req.Data, opIndex: m.threads[t.Proc].OpIndex,
 			})
 			m.threads[t.Proc].Resolve(0)
+			return nil
+		case req.Op == mem.OpRead && m.mode == relaxNetwork:
+			// Queued unresolved; the thread stays at the read until it retires.
+			m.buffers[t.Proc] = append(m.buffers[t.Proc], wbEntry{
+				addr: req.Addr, read: true, opIndex: m.threads[t.Proc].OpIndex,
+			})
 			return nil
 		case req.Op == mem.OpRead:
 			if v, fwd := m.forwardFrom(t.Proc, req.Addr); fwd {
@@ -437,11 +472,11 @@ func (m *Relaxed) Done() bool {
 	return true
 }
 
-// AppendKey implements Machine. PSO/RMO buffers are encoded grouped by
-// address (stable, preserving per-address FIFO order): the cross-address
-// interleaving of a PSO buffer is not semantic state — drains, forwarding and
-// Done never compare entries across addresses — and keeping it out of the key
-// makes independent steps commute at key level, which the partial-order
+// AppendKey implements Machine. PSO/RMO/network buffers are encoded grouped
+// by address (stable, preserving per-address FIFO order): the cross-address
+// interleaving of such a buffer is not semantic state — drains, forwarding
+// and Done never compare entries across addresses — and keeping it out of the
+// key makes independent steps commute at key level, which the partial-order
 // reducer relies on. TSO buffers are strictly FIFO, so their full order is
 // state and is encoded as-is.
 func (m *Relaxed) AppendKey(mode KeyMode, key []byte) []byte {
@@ -453,8 +488,9 @@ func (m *Relaxed) AppendKey(mode KeyMode, key []byte) []byte {
 		b := m.buffers[p]
 		if m.mode != relaxTSO && len(b) > 1 {
 			// A stable insertion sort of a stack copy: the buffer holds
-			// at most bufferDepth entries.
-			var sorted [bufferDepth]wbEntry
+			// at most bufferDepth writes and, on the network machine, a
+			// read queued behind them.
+			var sorted [bufferDepth + 1]wbEntry
 			b = append(sorted[:0], b...)
 			for i := 1; i < len(b); i++ {
 				for j := i; j > 0 && b[j].addr < b[j-1].addr; j-- {
@@ -464,7 +500,11 @@ func (m *Relaxed) AppendKey(mode KeyMode, key []byte) []byte {
 		}
 		key = binary.AppendUvarint(key, uint64(len(b)))
 		for _, e := range b {
-			key = binary.AppendUvarint(key, uint64(e.addr))
+			a := uint64(e.addr) << 1
+			if e.read {
+				a |= 1 // a queued read, whose value is not yet known
+			}
+			key = binary.AppendUvarint(key, a)
 			key = binary.AppendVarint(key, int64(e.value))
 			key = binary.AppendUvarint(key, uint64(e.opIndex))
 		}
@@ -488,19 +528,21 @@ func (m *Relaxed) AppendKey(mode KeyMode, key []byte) []byte {
 }
 
 // Footprints implements Machine: each processor's static suffix plus the
-// writes still sitting in its buffer. Wake footprints stay empty — every
-// enabling gate (buffer room, sync drain, delay set) depends on the
-// processor's own buffer alone.
+// writes, and network reads, still sitting in its buffer. Wake footprints
+// stay empty — every enabling gate (buffer room, sync drain, delay set, a
+// queued read) depends on the processor's own buffer alone.
 func (m *Relaxed) Footprints(buf []explore.AgentFootprints) []explore.AgentFootprints {
 	base := len(buf)
 	buf = m.appendThreadFootprints(buf)
 	for p, b := range m.buffers {
 		fp := &buf[base+p].Future
 		for _, e := range b {
-			if bit, ok := m.fpAddrBit(e.addr); ok {
-				fp.Writes |= bit
-			} else {
+			if bit, ok := m.fpAddrBit(e.addr); !ok {
 				fp.Wild = true
+			} else if e.read {
+				fp.Reads |= bit
+			} else {
+				fp.Writes |= bit
 			}
 		}
 		// On RMO every remaining sync is a full fence (see Transitions).

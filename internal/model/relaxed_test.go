@@ -37,6 +37,25 @@ thread:
 `).Program
 }
 
+// sbForward is store buffering with each thread reading its own store first:
+// r0=1, r1=0, r2=1, r3=0 needs each store to reach its own thread's first
+// load before it reaches the other thread's last load, which forwarding from
+// a store buffer gives and ordered arrival at memory does not.
+func sbForward() *program.Program {
+	return program.MustParse(`
+name: sb-forward
+init: x=0 y=0
+thread:
+    st x, 1
+    ld r0, x
+    ld r1, y
+thread:
+    st y, 1
+    ld r2, y
+    ld r3, x
+`).Program
+}
+
 func hasOutcome(t *testing.T, m Machine, pred func(*program.FinalState) bool) bool {
 	t.Helper()
 	x := &Explorer{}
@@ -78,6 +97,18 @@ func TestRelaxedLadderDiscrimination(t *testing.T) {
 	if !hasOutcome(t, NewRMO(mpRelease()), staleMP) {
 		t.Error("rmo should allow the stale read under a writer-only fence")
 	}
+	// Network (no cache) beside PSO: a read queues behind its own thread's
+	// writes to the location instead of forwarding from them, so the
+	// store-buffering outcome that needs forwarding is PSO's alone.
+	forwarded := func(fs *program.FinalState) bool {
+		return fs.Regs[0][0] == 1 && fs.Regs[0][1] == 0 && fs.Regs[1][2] == 1 && fs.Regs[1][3] == 0
+	}
+	if !hasOutcome(t, NewPSO(sbForward()), forwarded) {
+		t.Error("pso should allow the sb-forward outcome through store forwarding")
+	}
+	if hasOutcome(t, NewNetwork(sbForward()), forwarded) {
+		t.Error("network-nocache must not forward a queued write to a read (sb-forward)")
+	}
 }
 
 // TestRMOCoherence: per-location ordering survives the stale-view mechanism —
@@ -116,7 +147,9 @@ thread:
 	}
 }
 
-// TestRelaxedReadForwarding: a processor always sees its own buffered store.
+// TestRelaxedReadForwarding: a processor always sees its own buffered store;
+// on the network machine, a read queued behind its own writes to the
+// location returns the newest of them.
 func TestRelaxedReadForwarding(t *testing.T) {
 	p := program.MustParse(`
 name: fwd
@@ -130,11 +163,12 @@ thread:
 		func(q *program.Program) Machine { return NewTSO(q) },
 		func(q *program.Program) Machine { return NewPSO(q) },
 		func(q *program.Program) Machine { return NewRMO(q) },
+		func(q *program.Program) Machine { return NewNetwork(q) },
 	} {
 		m := mk(p)
 		name := m.Name()
 		if hasOutcome(t, m, func(fs *program.FinalState) bool { return fs.Regs[0][0] != 2 }) {
-			t.Errorf("%s: read did not forward the newest buffered store", name)
+			t.Errorf("%s: read did not return the newest of its own buffered stores", name)
 		}
 	}
 }
