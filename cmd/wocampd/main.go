@@ -25,8 +25,10 @@
 // campaigns write a final checkpoint before the process exits.
 //
 // A request is refused before anything runs: 413 for a body over 1 MiB, 400
-// for a malformed one, a campaign "explore_workers" above the worker budget
-// (WEAKORDER_WORKERS, else GOMAXPROCS) or a "max_states" above 2 000 000.
+// for a malformed one, one with a field its endpoint does not take, or a
+// "max_states" above 2 000 000. How a verdict explores is not a request
+// field: every exploration runs serially with the partial-order reduction on,
+// so a verdict depends only on what its cache key holds.
 package main
 
 import (

@@ -9,17 +9,19 @@
 // Usage:
 //
 //	wofuzz [-seeds N] [-seed S] [-budget DUR] [-machines CSV] [-minimize]
-//	       [-max-states N] [-explore-workers N] [-por on|off]
-//	       [-json PATH] [-out DIR] [-checkpoint DIR] [-cache PATH] [-v]
+//	       [-max-states N] [-json PATH] [-out DIR] [-checkpoint DIR]
+//	       [-cache PATH] [-v]
 //	wofuzz -resume DIR [-json PATH] [-out DIR] [-cache PATH] [-v]
 //	wofuzz -chaos [-seeds N] [-seed S] [-budget DUR] [-fault-seed S]
-//	       [-fault-rates drop=P,dup=P,...] [-max-states N] [-explore-workers N]
+//	       [-fault-rates drop=P,dup=P,...] [-max-states N]
 //	       [-json PATH] [-checkpoint DIR] [-cache PATH] [-v]
 //
 // The campaign engine is internal/campaign: seeds fan out over the shared
 // worker pool in checkpoint-sized blocks, and every verdict is a pure
 // function of the campaign spec, so the same flags always produce the same
-// report bytes.
+// report bytes. Each exploration runs serially with the partial-order
+// reduction on, because how a search enumerates decides where a state
+// budget trips (see internal/campaign's Options).
 //
 // -checkpoint DIR snapshots campaign state atomically after every block; a
 // killed campaign (SIGINT/SIGTERM, or -budget running out) leaves a resumable
@@ -39,17 +41,6 @@
 // machine over the deterministic fault-injecting fabric, asserting every run
 // completes under bounded retry and lands inside the program's SC outcome
 // set. A completion failure or containment escape exits with status 1.
-//
-// -por=off disables the exploration kernel's partial-order reduction (a
-// debugging escape hatch: the differential tests pin that outcome sets are
-// identical either way, so only speed changes).
-//
-// -explore-workers widens each individual exploration inside the kernel: the
-// default 1 keeps explorations serial (the campaign already fans programs
-// across cores), an explicit N runs N workers per exploration, and 0 runs
-// each verdict's explorations side by side, each auto-sized to whatever cores
-// the campaign and verdict fan-outs have left spare. Outcome sets are
-// identical at every width.
 //
 // -machines accepts a comma-separated list of machine names plus the aliases
 // "weak" (every machine claiming the contract; the default), "all", and
@@ -83,8 +74,6 @@ func main() {
 	machinesCSV := flag.String("machines", "weak", `machines to test: comma-separated names, "weak", "all", or "broken"`)
 	minimize := flag.Bool("minimize", true, "delta-debug violating programs to minimal reproducers")
 	maxStates := flag.Int("max-states", 0, "per-exploration state budget (0 = fuzzing default)")
-	exploreWorkers := flag.Int("explore-workers", 1, "worker count inside each exploration (1 = serial, 0 = one per spare core)")
-	por := flag.String("por", "on", "partial-order reduction in the exploration kernel: on or off")
 	jsonPath := flag.String("json", "", `write a JSON campaign report to PATH ("-" = stdout)`)
 	outDir := flag.String("out", "", "write minimized reproducers (.litmus and .go) into DIR")
 	checkpointDir := flag.String("checkpoint", "", "snapshot campaign state into DIR so a killed campaign can be resumed")
@@ -96,31 +85,12 @@ func main() {
 	faultRates := flag.String("fault-rates", "", "chaos: fault rates (empty = defaults)")
 	flag.Parse()
 
-	if *exploreWorkers < 0 {
-		fatal(fmt.Errorf("negative -explore-workers %d (want 1 = serial, 0 = one per spare core, or an explicit width)", *exploreWorkers))
-	}
-	// The CLI's 0 means "auto": each exploration claims whatever spare slots
-	// the par budget has at that moment (the campaign-level fan-out and the
-	// in-exploration workers share one process-wide budget), which the kernel
-	// spells as a negative width.
-	kernelWorkers := *exploreWorkers
-	if kernelWorkers == 0 {
-		kernelWorkers = -1
-	}
-	switch *por {
-	case "on", "off":
-	default:
-		fatal(fmt.Errorf("invalid -por %q (want on or off)", *por))
-	}
-
 	spec := campaign.Spec{
-		Seeds:          *seeds,
-		BaseSeed:       *baseSeed,
-		Machines:       *machinesCSV,
-		MaxStates:      *maxStates,
-		POROff:         *por == "off",
-		Minimize:       *minimize,
-		ExploreWorkers: kernelWorkers,
+		Seeds:     *seeds,
+		BaseSeed:  *baseSeed,
+		Machines:  *machinesCSV,
+		MaxStates: *maxStates,
+		Minimize:  *minimize,
 	}
 	if *chaosMode {
 		spec.Mode = campaign.ModeChaos

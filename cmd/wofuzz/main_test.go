@@ -49,32 +49,6 @@ func TestAllSkippedBudgetExit(t *testing.T) {
 	}
 }
 
-// TestPORFlag runs a small campaign with reduction on and off: both must
-// succeed, and the summary lines (checked/drf0/racy counts) must be
-// identical — POR may only change how much work the verdicts cost.
-func TestPORFlag(t *testing.T) {
-	bin := buildWofuzz(t)
-	var summaries []string
-	for _, por := range []string{"on", "off"} {
-		out, code := run(t, bin, "-seeds", "6", "-minimize=false", "-por", por)
-		if code != 0 {
-			t.Fatalf("-por=%s: exit code = %d\noutput:\n%s", por, code, out)
-		}
-		i := strings.Index(out, "wofuzz: ")
-		j := strings.Index(out, " in ") // strip the elapsed-time suffix
-		if i < 0 || j < 0 || j < i {
-			t.Fatalf("-por=%s: unexpected summary output:\n%s", por, out)
-		}
-		summaries = append(summaries, out[i:j])
-	}
-	if summaries[0] != summaries[1] {
-		t.Fatalf("POR changed campaign verdicts:\n on: %s\noff: %s", summaries[0], summaries[1])
-	}
-	if out, code := run(t, bin, "-por", "sideways"); code != 1 || !strings.Contains(out, "invalid -por") {
-		t.Fatalf("invalid -por: exit code = %d, output:\n%s", code, out)
-	}
-}
-
 // TestMachinesFlag pins the -machines selection surface: the relaxed
 // write-buffer machines resolve by name and run a campaign to completion,
 // while an unknown name is rejected before any program is generated, with an

@@ -10,7 +10,7 @@
 //	      [-netlat N] [-jitter N] [-bus] [-seed S] [-check]
 //	      [-dir-shards N] [-topology flat|dancehall|clusters]
 //	      [-cluster-size N] [-remote-lat N]
-//	      [-por on|off] [-max-states N] [-explore-workers N]
+//	      [-max-states N] [-explore-workers N]
 //	      [-faults] [-fault-seed S] [-fault-rates drop=P,dup=P,delay=P,reorder=P,maxdelay=N]
 //	      [-metrics] [-timeline FILE]
 //
@@ -31,13 +31,14 @@
 //
 // -check additionally records the execution trace and verifies it is
 // sequentially consistent (expected for the DRF0 workloads on every policy).
-// The verification runs on the shared exploration kernel; -por=off disables
-// its partial-order reduction (a debugging escape hatch — the answer never
-// changes) and -max-states bounds its search. -explore-workers widens the
-// search inside the kernel: 1 (the default) is the serial search, an explicit
-// N runs N workers over a shared work-stealing frontier, and 0 auto-sizes to
-// the spare cores; the verdict is identical at every width, though a
-// satisfiable check may report a different (equally valid) witness order. A
+// The verification runs on the shared exploration kernel, with its
+// partial-order reduction, and -max-states bounds its search.
+// -explore-workers widens the search inside the kernel: 1 (the default) is
+// the serial search, an explicit N runs N workers over a shared
+// work-stealing frontier, and 0 auto-sizes to the spare cores; the verdict is
+// identical at every width, though a satisfiable check may report a
+// different (equally valid) witness order, and a search that needs about
+// -max-states states may exhaust the budget at one width and not another. A
 // check that exhausts the state budget exits with status 2 and a distinct
 // message — now naming the number of states the budget admitted, so the next
 // -max-states needs no -metrics rerun — separating "too big to decide" from
@@ -111,7 +112,6 @@ func main() {
 	update := flag.Bool("update", false, "use the write-update protocol for data writes")
 	seed := flag.Int64("seed", 1, "jitter seed")
 	check := flag.Bool("check", false, "verify the trace is sequentially consistent")
-	por := flag.String("por", "on", "partial-order reduction in the -check search: on or off")
 	maxStates := flag.Int("max-states", 0, "state budget for the -check search (0 = kernel default)")
 	exploreWorkers := flag.Int("explore-workers", 1, "worker count for the -check search (1 = serial, 0 = one per spare core)")
 	conds := flag.Bool("conditions", false, "verify the run against the Section-5.1 conditions")
@@ -167,9 +167,6 @@ func main() {
 	}
 	if *recordFile != "" && *specFile == "" && *replayFile == "" {
 		usage(fmt.Errorf("-record requires -spec or -replay (nothing to record)"))
-	}
-	if *por != "on" && *por != "off" {
-		usage(fmt.Errorf("invalid -por %q (want on or off)", *por))
 	}
 	if *exploreWorkers < 0 {
 		usage(fmt.Errorf("negative -explore-workers %d (want 1 = serial, 0 = one per spare core, or an explicit width)", *exploreWorkers))
@@ -411,9 +408,6 @@ func main() {
 	}
 	if *check {
 		opts := core.SCOptions{MaxStates: *maxStates}
-		if *por == "off" {
-			opts.FullExploration = true
-		}
 		// The CLI's 0 means "auto" (one worker per spare core), which is the
 		// kernel's negative width; 1 stays serial.
 		if *exploreWorkers == 0 {

@@ -73,25 +73,6 @@ func TestCheckExploreWorkers(t *testing.T) {
 	}
 }
 
-// TestCheckPORFlag runs the same checked workload with reduction on and off;
-// both must succeed and agree on the verdict line.
-func TestCheckPORFlag(t *testing.T) {
-	bin := buildWosim(t)
-	const verdict = "trace check: sequentially consistent"
-	for _, por := range []string{"on", "off"} {
-		out, code := run(t, bin, "-workload", "prodcons", "-iters", "2", "-check", "-por", por)
-		if code != 0 {
-			t.Fatalf("-por=%s: exit code = %d\noutput:\n%s", por, code, out)
-		}
-		if !strings.Contains(out, verdict) {
-			t.Fatalf("-por=%s: missing %q in output:\n%s", por, verdict, out)
-		}
-	}
-	if out, code := run(t, bin, "-check", "-por", "sideways"); code != 2 || !strings.Contains(out, "invalid -por") {
-		t.Fatalf("invalid -por: exit code = %d, want 2, output:\n%s", code, out)
-	}
-}
-
 // TestFlagValidationExitsTwo pins the up-front validation contract: a typo'd
 // enum or a negative latency is rejected with status 2 and a message naming
 // the flag, before any simulation output.

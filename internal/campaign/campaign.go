@@ -7,13 +7,13 @@
 //   - Store is a digest-keyed result cache with an append-only on-disk log
 //     (length-prefixed, per-frame checksummed, corrupt tails truncated — the
 //     same conventions as internal/workload/tracefmt). The cache key is a
-//     canonical digest of everything that can change a verdict — the program's
-//     canonical binary encoding, the machine set, the state/trace budgets and
-//     the fault schedule — and deliberately nothing that cannot (POR on/off
-//     and exploration width are outcome-identical by the differential gates
-//     pinned in CI, so they stay out of the key). Determinism is what makes
-//     the cache sound: the same key always reproduces the same verdict, so a
-//     hit can be answered without re-exploration.
+//     canonical digest of everything a verdict is computed from — the
+//     program's canonical binary encoding, the machine set, the state/trace
+//     budgets and the fault schedule — and a verdict is computed from nothing
+//     else: its explorations always run serially with the partial-order
+//     reduction on. Determinism is what makes the cache sound: the same key
+//     always reproduces the same verdict, so a hit can be answered without
+//     re-exploration.
 //
 //   - Runner executes a campaign Spec — the same program stream, verdicts and
 //     JSON report as cmd/wofuzz — in deterministic seed order with the seed
@@ -42,7 +42,10 @@ import (
 // Spec pins everything that determines a campaign's verdicts and report. Two
 // runs with equal Specs produce byte-identical reports regardless of
 // interruptions, pool widths, or cache state; the checkpoint embeds the Spec
-// so a resume cannot silently continue under different parameters.
+// so a resume cannot silently continue under different parameters. How an
+// exploration searches is not part of it: every one runs serially with the
+// partial-order reduction on, because a reduced search's state count, and so
+// whether a state budget trips, depends on the order it visits states in.
 //
 // Wall-clock budget is deliberately NOT part of the Spec: it changes when a
 // campaign stops, never what any seed's verdict is, and a budget-stopped
@@ -60,17 +63,8 @@ type Spec struct {
 	Machines string `json:"machines,omitempty"`
 	// MaxStates bounds each exploration (0 = the fuzzing default).
 	MaxStates int `json:"max_states,omitempty"`
-	// POROff disables the partial-order reduction. Outcome sets are
-	// identical either way (pinned in CI), so this is not part of the cache
-	// key — only of the Spec, because it is an execution knob the user set.
-	POROff bool `json:"por_off,omitempty"`
 	// Minimize delta-debugs violations to minimal reproducers.
 	Minimize bool `json:"minimize,omitempty"`
-	// ExploreWorkers is the kernel width per exploration (0 or 1 = serial,
-	// negative = auto-size from the par budget, with each verdict's
-	// explorations also run side by side; see fuzz.Checker.Check).
-	// Outcome-identical at every width, hence also not in the cache key.
-	ExploreWorkers int `json:"explore_workers,omitempty"`
 	// FaultSeed and FaultRates configure chaos mode; program i uses
 	// FaultSeed+i. FaultRates is the -fault-rates syntax ("" = defaults).
 	FaultSeed  int64  `json:"fault_seed,omitempty"`

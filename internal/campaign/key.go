@@ -26,11 +26,15 @@ const KeyVersion = 1
 // the trace bound (changes which executions are enumerated), and the chaos
 // fault schedule (seed and rates pick the injected faults).
 //
-// Out by proof: POR on/off and the exploration worker width. Both are pinned
-// outcome-identical by the differential gates in CI (TestPOREquivalence,
-// TestExploreWorkerWidthDeterminism), so keying on them would only split the
-// cache and re-explore work the determinism guarantees already paid for.
-// The key_test.go sensitivity matrix enforces both directions.
+// Out by construction: the partial-order reduction and the exploration
+// width. They leave outcome sets alone (TestPOREquivalence,
+// TestExploreWorkerWidthDeterminism), but not state counts, so not whether
+// a budget trips: a POR-off campaign at max_states 100 skips programs a
+// reduced one decides, and a parallel search's count varies from run to
+// run. So no verdict path offers either as a setting: every exploration a
+// cached verdict rests on runs serially with the reduction on
+// (fuzz.Checker.Check). The key_test.go sensitivity matrix pins that every
+// field here is keyed and the program's name is not.
 type Options struct {
 	// Machines lists the machine names under test, in campaign order (order
 	// is keyed: it fixes the order of Violating lists in verdicts).

@@ -1,7 +1,9 @@
 package campaign
 
 import (
-	"context"
+	"encoding/json"
+	"net/http"
+	"strings"
 	"testing"
 
 	"weakorder/internal/faults"
@@ -17,8 +19,8 @@ func baseOpts() Options {
 // the state and trace budgets, and the chaos fault schedule. NOT in the key:
 // the program's name — structurally identical programs must dedup across
 // campaigns that label them differently. (POR and exploration width are kept
-// out at the type level: Options has no field for them; TestPORAndWidthNotKeyed
-// pins the end-to-end consequence.)
+// out by construction: no verdict path takes them as a setting, and
+// TestPORAndWidthNotKeyed pins that the service refuses them.)
 func TestKeySensitivityMatrix(t *testing.T) {
 	_, p := ProgramFor(1, 0)
 	base := Key(p, baseOpts())
@@ -83,44 +85,28 @@ func TestKeySensitivityMatrix(t *testing.T) {
 	}
 }
 
-// TestPORAndWidthNotKeyed pins the negative half of the key contract end to
-// end: a campaign re-run with POR disabled and a different exploration width
-// — both proved outcome-identical by the differential gates — must be fully
-// answered from a cache populated by the default configuration.
+// TestPORAndWidthNotKeyed pins the negative half of the key contract: POR and
+// exploration width are not keyed because no verdict can be asked to vary
+// them. A reduced search's state count depends on the order it enumerates, so
+// either setting could flip a verdict between checked and skipped under the
+// same key. A campaign naming por_off or explore_workers is answered 400,
+// with an error naming the field, before anything is stored or registered.
 func TestPORAndWidthNotKeyed(t *testing.T) {
-	store, err := OpenStore(t.TempDir() + "/cache.wocs")
-	if err != nil {
-		t.Fatal(err)
+	srv, hs := newTestService(t)
+	for field, body := range map[string]string{
+		"por_off":         `{"seeds": 1, "base_seed": 1, "machines": "tso", "por_off": true}`,
+		"explore_workers": `{"seeds": 1, "base_seed": 1, "machines": "tso", "explore_workers": 2}`,
+	} {
+		var refusal struct{ Error string }
+		if code := postJSON(t, hs.URL+"/v1/campaigns", json.RawMessage(body), &refusal); code != http.StatusBadRequest || !strings.Contains(refusal.Error, field) {
+			t.Errorf("campaign with %s: status %d, error %q; want %d naming the field", field, code, refusal.Error, http.StatusBadRequest)
+		}
 	}
-	defer store.Close()
-
-	spec := Spec{Seeds: 6, BaseSeed: 1, Machines: "tso"}
-	warm := &Runner{Spec: spec, Store: store}
-	warmRep, warmSum, err := warm.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	if st := srv.store.Stats(); st != (StoreStats{}) {
+		t.Errorf("refused campaigns reached the store: %+v", st)
 	}
-	if warmSum.CacheHits != 0 {
-		t.Fatalf("warm-up run had %d cache hits, want 0", warmSum.CacheHits)
-	}
-
-	cold := spec
-	cold.POROff = true
-	cold.ExploreWorkers = 2
-	second := &Runner{Spec: cold, Store: store}
-	rep, sum, err := second.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(sum.CacheHits) != spec.Seeds {
-		t.Fatalf("POR/width change split the cache: %d/%d hits", sum.CacheHits, spec.Seeds)
-	}
-	if sum.Explored != 0 {
-		t.Fatalf("cache-hit run explored %d states, want 0", sum.Explored)
-	}
-	a, _ := MarshalReport(warmRep)
-	b, _ := MarshalReport(rep)
-	if string(a) != string(b) {
-		t.Fatalf("cached report diverged from computed report:\n%s\nvs\n%s", a, b)
+	var list []CampaignStatus
+	if code := getJSON(t, hs.URL+"/v1/campaigns", &list); code != http.StatusOK || len(list) != 0 {
+		t.Fatalf("refused campaigns were registered: status %d, %+v", code, list)
 	}
 }

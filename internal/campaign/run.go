@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"weakorder/internal/chaos"
+	"weakorder/internal/digest"
 	"weakorder/internal/faults"
 	"weakorder/internal/fuzz"
 	"weakorder/internal/litmus"
@@ -82,16 +83,12 @@ func (r *Runner) Run(ctx context.Context) (*Report, *Summary, error) {
 	rep := &Report{Mode: r.Spec.mode(), Seeds: r.Spec.Seeds, BaseSeed: r.Spec.BaseSeed}
 	next := 0
 
-	// Fuzz-mode machinery (resolved up front so bad specs fail before work).
+	// Mode machinery (resolved up front so bad specs fail before work).
 	var factories []litmus.Factory
-	var opts Options
+	var chaosOpts Options
 	xt := *fuzz.DefaultExplorer()
 	if r.Spec.MaxStates > 0 {
 		xt.MaxStates = r.Spec.MaxStates
-	}
-	xt.FullExploration = r.Spec.POROff
-	if r.Spec.ExploreWorkers != 0 {
-		xt.Workers = r.Spec.ExploreWorkers
 	}
 	var rates faults.Rates
 	switch r.Spec.mode() {
@@ -107,13 +104,12 @@ func (r *Runner) Run(ctx context.Context) (*Report, *Summary, error) {
 		for _, f := range factories {
 			rep.Machines = append(rep.Machines, f.Name)
 		}
-		opts = Options{Machines: rep.Machines, MaxStates: xt.MaxStates, MaxTraceOps: xt.MaxTraceOps}
 	case ModeChaos:
 		var err error
 		if rates, err = faults.ParseRates(r.Spec.FaultRates); err != nil {
 			return nil, nil, err
 		}
-		opts = Options{Machines: []string{"timed-def2"}, MaxStates: xt.MaxStates, MaxTraceOps: xt.MaxTraceOps,
+		chaosOpts = Options{Machines: []string{"timed-def2"}, MaxStates: xt.MaxStates, MaxTraceOps: xt.MaxTraceOps,
 			Chaos: true, FaultRates: rates}
 	}
 
@@ -185,16 +181,16 @@ func (r *Runner) Run(ctx context.Context) (*Report, *Summary, error) {
 		}
 
 		// One block: verdicts computed in parallel on the shared par pool
-		// (auto width, so in-exploration workers and concurrent campaigns
-		// share the process budget), assembled strictly in seed order below.
+		// (auto width, so concurrent campaigns share the process budget),
+		// assembled strictly in seed order below.
 		cells, err := par.Map(make([]struct{}, n), r.Workers, func(j int, _ struct{}) (cell, error) {
 			i := next + j
 			switch r.Spec.mode() {
 			case ModeChaos:
-				v, name, cached, err := r.chaosSeed(i, xt, rates, opts)
+				v, name, cached, err := r.chaosSeed(i, xt, rates, chaosOpts)
 				return cell{v: v, name: name, cached: cached}, err
 			default:
-				v, name, cfg, cached, err := r.fuzzSeed(i, factories, xt, opts)
+				v, name, cfg, cached, err := r.fuzzSeed(i, factories, xt)
 				return cell{v: v, name: name, config: cfg, cached: cached}, err
 			}
 		})
@@ -249,9 +245,9 @@ func (r *Runner) checkpoint(rep *Report, next int, sum *Summary) error {
 }
 
 // fuzzSeed computes (or retrieves) the verdict of fuzz-campaign seed i.
-func (r *Runner) fuzzSeed(i int, factories []litmus.Factory, xt model.Explorer, opts Options) (Verdict, string, string, bool, error) {
+func (r *Runner) fuzzSeed(i int, factories []litmus.Factory, xt model.Explorer) (Verdict, string, string, bool, error) {
 	cfgName, p := ProgramFor(r.Spec.BaseSeed, i)
-	v, cached, err := FuzzVerdict(r.Store, p, factories, xt, opts, r.Spec.Minimize)
+	v, _, cached, err := FuzzVerdict(r.Store, p, factories, xt, r.Spec.Minimize)
 	if err != nil {
 		return Verdict{}, "", "", false, err
 	}
@@ -259,20 +255,28 @@ func (r *Runner) fuzzSeed(i int, factories []litmus.Factory, xt model.Explorer, 
 }
 
 // FuzzVerdict computes — or retrieves from store — the differential verdict
-// of p under opts. It is the one verdict path shared by the campaign Runner
+// of p on factories under xt's budgets, and returns it with the cache key it
+// stands under: Key of p and the Options of factories' names, xt.MaxStates and
+// xt.MaxTraceOps. It is the one verdict path shared by the campaign Runner
 // and the server's single-program endpoint, so both populate and consult the
-// same cache entries. A cached verdict that lacks reproducers is treated as
-// a miss when minimization is requested (the entry is then recomputed with
-// reproducers and overwritten, upgrading the cache).
-func FuzzVerdict(store *Store, p *program.Program, factories []litmus.Factory, xt model.Explorer, opts Options, minimize bool) (Verdict, bool, error) {
-	var key [16]byte
+// same cache entries. A negative xt.Workers runs the verdict's explorations
+// side by side (fuzz.Checker.Check); every other setting of xt but the two
+// budgets must be the fuzzing default's. A cached verdict that lacks
+// reproducers is treated as a miss when minimization is requested (the
+// entry is then recomputed with reproducers and overwritten, upgrading the
+// cache).
+func FuzzVerdict(store *Store, p *program.Program, factories []litmus.Factory, xt model.Explorer, minimize bool) (Verdict, digest.Sum, bool, error) {
+	opts := Options{Machines: make([]string, len(factories)), MaxStates: xt.MaxStates, MaxTraceOps: xt.MaxTraceOps}
+	for i, f := range factories {
+		opts.Machines[i] = f.Name
+	}
+	key := Key(p, opts)
 	if store != nil {
-		key = Key(p, opts)
 		if data, ok := store.Get(key); ok {
 			var v Verdict
 			if err := json.Unmarshal(data, &v); err == nil &&
 				(!minimize || len(v.Violating) == 0 || v.Reproducers != nil) {
-				return v, true, nil
+				return v, key, true, nil
 			}
 			// Undecodable or missing requested reproducers: recompute and
 			// overwrite.
@@ -288,7 +292,7 @@ func FuzzVerdict(store *Store, p *program.Program, factories []litmus.Factory, x
 		v.Skipped = true
 		v.States = crep.States
 	case err != nil:
-		return Verdict{}, false, err
+		return Verdict{}, key, false, err
 	default:
 		v.DRF0 = crep.DRF0
 		v.SCOutcomes = crep.SCOutcomes
@@ -301,10 +305,10 @@ func FuzzVerdict(store *Store, p *program.Program, factories []litmus.Factory, x
 	}
 	if store != nil {
 		if err := putVerdict(store, key, &v); err != nil {
-			return Verdict{}, false, err
+			return Verdict{}, key, false, err
 		}
 	}
-	return v, false, nil
+	return v, key, false, nil
 }
 
 // minimizeInto delta-debugs p against each violating machine, recording the

@@ -18,7 +18,6 @@ import (
 	"weakorder/internal/explore"
 	"weakorder/internal/fuzz"
 	"weakorder/internal/litmus"
-	"weakorder/internal/par"
 	"weakorder/internal/program"
 )
 
@@ -246,7 +245,8 @@ func (st *campaignState) status(full bool) CampaignStatus {
 // A POST body must be one JSON object of at most maxRequestBody bytes,
 // followed by nothing but whitespace: a larger body is answered 413, and
 // trailing data 400, before anything is explored or stored. So is, with 400,
-// a request that asks for more than the server runs (see checkBounds).
+// a body with a field its endpoint does not take, and a request that asks
+// for more than the server runs (see checkBounds).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/check", s.handleCheck)
@@ -291,7 +291,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, req *http.Request) {
 	if !decodeJSON(w, req, &cr) {
 		return
 	}
-	if err := checkBounds(0, cr.MaxStates); err != nil {
+	if err := checkBounds(cr.MaxStates); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -319,17 +319,11 @@ func (s *Server) handleCheck(w http.ResponseWriter, req *http.Request) {
 		xt.MaxStates = cr.MaxStates
 	}
 	xt.Workers = -1 // fan the verdict's explorations out on the shared par budget
-	names := make([]string, len(factories))
-	for i, f := range factories {
-		names[i] = f.Name
-	}
-	opts := Options{Machines: names, MaxStates: xt.MaxStates, MaxTraceOps: xt.MaxTraceOps}
-	v, cached, err := FuzzVerdict(s.store, p, factories, xt, opts, cr.Minimize)
+	v, key, cached, err := FuzzVerdict(s.store, p, factories, xt, cr.Minimize)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
 		return
 	}
-	key := Key(p, opts)
 	resp := CheckResponse{
 		Name: p.Name, Key: hex.EncodeToString(key[:]), Cached: cached,
 		States: v.States, DRF0: v.DRF0, Skipped: v.Skipped,
@@ -351,7 +345,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := checkBounds(spec.ExploreWorkers, spec.MaxStates); err != nil {
+	if err := checkBounds(spec.MaxStates); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -449,14 +443,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // litmus program and a campaign request a spec, each a few kilobytes.
 const maxRequestBody = 1 << 20
 
-// checkBounds rejects exploration settings above what the server runs: a
-// kernel width over the par budget, which would start that many goroutines
-// for every exploration, and a state budget over the kernel's safety net,
-// explore.DefaultMaxStates.
-func checkBounds(exploreWorkers, maxStates int) error {
-	if n := par.Workers(); exploreWorkers > n {
-		return fmt.Errorf("explore_workers %d exceeds the server's %d workers", exploreWorkers, n)
-	}
+// checkBounds rejects a state budget above what the server runs: the
+// kernel's safety net, explore.DefaultMaxStates.
+func checkBounds(maxStates int) error {
 	if maxStates > explore.DefaultMaxStates {
 		return fmt.Errorf("max_states %d exceeds %d", maxStates, explore.DefaultMaxStates)
 	}

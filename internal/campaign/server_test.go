@@ -10,14 +10,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
-	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"weakorder/internal/explore"
 	"weakorder/internal/fuzz"
 	"weakorder/internal/litmus"
-	"weakorder/internal/model"
 	"weakorder/internal/par"
 	"weakorder/internal/program"
 )
@@ -128,32 +127,18 @@ func TestCheckEndpointCacheHit(t *testing.T) {
 	}
 }
 
-// verdictWidths are the par widths the /v1/check cost tests run at: 1, 2
-// and GOMAXPROCS, the last capped at one more than a default verdict's
-// explorations (the SC pass and one per behaviour identity among the weakly
-// ordered machines). Up to that width the verdict's fan-out claims every slot
-// and each exploration runs serially, so reduced state counts are
-// deterministic; a wider pool would hand spare slots to the explorations
-// themselves.
-func verdictWidths() []int {
-	_, p := ProgramFor(1, 0)
-	ids := make(map[model.Behavior]bool)
-	for _, f := range litmus.WeaklyOrderedFactories() {
-		ids[f.New(p).Behavior()] = true
-	}
-	widths := []int{1, 2}
-	if n := min(runtime.GOMAXPROCS(0), 2+len(ids)); n > 2 {
-		widths = append(widths, n)
-	}
-	return widths
-}
+// verdictWidths are the par widths the /v1/check cost tests run at. 16 is
+// above a default verdict's fan-out (the SC pass and one exploration per
+// behaviour identity among the weakly ordered machines, 8 items), so slots
+// are left over that the explorations must not take.
+var verdictWidths = []int{1, 2, 16}
 
-// TestCheckExploredNowIsWholeCost pins a cold /v1/check's explored_now to
-// the verdict's whole exploration cost: the States a serial
+// TestCheckExploredNowIsWholeCost pins a cold /v1/check's explored_now and
+// states to the verdict's whole exploration cost: the States a serial
 // fuzz.Checker.Check reports, which is the SC pass plus one exploration per
-// behaviour identity, at every fan-out width.
+// behaviour identity, at every par width.
 func TestCheckExploredNowIsWholeCost(t *testing.T) {
-	for _, w := range verdictWidths() {
+	for _, w := range verdictWidths {
 		t.Run(fmt.Sprintf("width=%d", w), func(t *testing.T) {
 			defer par.SetWorkers(w)()
 			_, hs := newTestService(t)
@@ -171,8 +156,8 @@ func TestCheckExploredNowIsWholeCost(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if resp.Cached || resp.ExploredNow != rep.States {
-					t.Errorf("%s: cached %v, explored_now %d, want a cold reply exploring %d", p.Name, resp.Cached, resp.ExploredNow, rep.States)
+				if resp.Cached || resp.ExploredNow != rep.States || resp.States != rep.States {
+					t.Errorf("%s: cached %v, explored_now %d, states %d; want a cold reply exploring %d", p.Name, resp.Cached, resp.ExploredNow, resp.States, rep.States)
 				}
 			}
 		})
@@ -191,7 +176,7 @@ func TestCheckSkippedVerdictCountsExploration(t *testing.T) {
 	if !ok {
 		t.Fatal("wrc-transitive-sync is not in the litmus corpus")
 	}
-	for _, w := range verdictWidths() {
+	for _, w := range verdictWidths {
 		t.Run(fmt.Sprintf("width=%d", w), func(t *testing.T) {
 			defer par.SetWorkers(w)()
 			_, hs := newTestService(t)
@@ -289,33 +274,28 @@ func TestRequestBodyBounds(t *testing.T) {
 	}
 }
 
-// TestRequestExplorationBounds pins the ceilings on what a client may ask the
-// service to run: a campaign's explore_workers above par.Workers(), which
-// would start that many goroutines for every exploration, and a max_states
-// above explore.DefaultMaxStates on either endpoint are answered 400 before
-// anything is explored, stored or registered. Requests at the ceilings are
-// served.
+// TestRequestExplorationBounds pins the ceiling on what a client may ask the
+// service to run: a max_states above explore.DefaultMaxStates, on either
+// endpoint, is answered 400, naming the field, before anything is explored,
+// stored or registered. Requests at the ceiling are served.
 func TestRequestExplorationBounds(t *testing.T) {
-	defer par.SetWorkers(2)()
 	srv, hs := newTestService(t)
 	_, p := ProgramFor(1, 0)
 	check := CheckRequest{Litmus: fuzz.EmitLitmus(p), Machines: "tso"}
 	spec := Spec{Seeds: 1, BaseSeed: 1, Machines: "tso"}
-	type request struct {
-		name, path string
-		body       any
-	}
-	wideSpec, bigSpec, bigCheck := spec, spec, check
-	wideSpec.ExploreWorkers = 3
+	bigSpec, bigCheck := spec, check
 	bigSpec.MaxStates = explore.DefaultMaxStates + 1
 	bigCheck.MaxStates = explore.DefaultMaxStates + 1
-	for _, r := range []request{
-		{"explore_workers 3", "/v1/campaigns", wideSpec},
-		{"max_states over the net", "/v1/campaigns", bigSpec},
-		{"max_states over the net", "/v1/check", bigCheck},
+	for _, r := range []struct {
+		field, path string
+		body        any
+	}{
+		{"max_states", "/v1/campaigns", bigSpec},
+		{"max_states", "/v1/check", bigCheck},
 	} {
-		if code := postJSON(t, hs.URL+r.path, r.body, nil); code != http.StatusBadRequest {
-			t.Errorf("%s, %s: status %d, want %d", r.path, r.name, code, http.StatusBadRequest)
+		var refusal map[string]string
+		if code := postJSON(t, hs.URL+r.path, r.body, &refusal); code != http.StatusBadRequest || !strings.Contains(refusal["error"], r.field) {
+			t.Errorf("%s, %s: status %d, error %q; want %d naming %s", r.path, r.field, code, refusal["error"], http.StatusBadRequest, r.field)
 		}
 	}
 	if st := srv.store.Stats(); st != (StoreStats{}) {
@@ -326,17 +306,14 @@ func TestRequestExplorationBounds(t *testing.T) {
 		t.Fatalf("refused submissions registered campaigns: status %d, %+v", code, list)
 	}
 
-	wideSpec.ExploreWorkers = 2
 	bigSpec.MaxStates = explore.DefaultMaxStates
 	bigCheck.MaxStates = explore.DefaultMaxStates
-	for _, sp := range []Spec{wideSpec, bigSpec} {
-		var accepted CampaignStatus
-		if code := postJSON(t, hs.URL+"/v1/campaigns", sp, &accepted); code != http.StatusAccepted {
-			t.Fatalf("campaign at the ceiling %+v: status %d, want %d", sp, code, http.StatusAccepted)
-		}
-		if final := waitDone(t, hs.URL, accepted.ID); final.Error != "" {
-			t.Fatalf("campaign at the ceiling %+v failed: %s", sp, final.Error)
-		}
+	var accepted CampaignStatus
+	if code := postJSON(t, hs.URL+"/v1/campaigns", bigSpec, &accepted); code != http.StatusAccepted {
+		t.Fatalf("campaign at the ceiling: status %d, want %d", code, http.StatusAccepted)
+	}
+	if final := waitDone(t, hs.URL, accepted.ID); final.Error != "" {
+		t.Fatalf("campaign at the ceiling failed: %s", final.Error)
 	}
 	if code := postJSON(t, hs.URL+"/v1/check", bigCheck, nil); code != http.StatusOK {
 		t.Errorf("/v1/check at max_states %d: status %d, want %d", bigCheck.MaxStates, code, http.StatusOK)

@@ -33,10 +33,6 @@ func SCCheck(e *mem.Execution, init map[mem.Addr]mem.Value) (*SCWitness, error) 
 
 // SCOptions tunes SCCheckOpt; the zero value is SCCheck's behavior.
 type SCOptions struct {
-	// FullExploration disables the partial-order reduction, expanding every
-	// enabled replay step of every search state. The escape hatch mirroring
-	// model.Explorer's: differential tests pin that it never changes answers.
-	FullExploration bool
 	// MaxStates bounds the number of distinct search states (0 = the kernel's
 	// DefaultMaxStates safety net). Exceeding it aborts with an error
 	// satisfying errors.Is(err, explore.ErrStateBudget).
@@ -120,9 +116,8 @@ func SCCheckOpt(e *mem.Execution, init map[mem.Addr]mem.Value, opts SCOptions) (
 	}
 
 	x := explore.Explorer{
-		MaxStates:       opts.MaxStates,
-		FullExploration: opts.FullExploration,
-		Workers:         opts.Workers,
+		MaxStates: opts.MaxStates,
+		Workers:   opts.Workers,
 		// Replay keys are (frontier, memory): the relative order in which
 		// synchronization operations on different locations were serialized
 		// is not part of the question being asked.

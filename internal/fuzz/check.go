@@ -12,10 +12,12 @@
 //     (model.Explorer.CheckSC) yields both the DRF0 verdict and the SC
 //     outcome set, and machines sharing a behaviour identity
 //     (model.Behavior) are explored once and reported under every name, each
-//     as a core.ContractReport. With an auto-sized explorer (negative
-//     Workers, the service's setting) the SC pass and the machine
-//     explorations run side by side, with the report and error of running
-//     them in order. Checker.Check is the one composition of a verdict: the
+//     as a core.ContractReport. Every exploration runs serially, so a
+//     verdict, States included, depends on the program, the machines and
+//     the budgets alone. With an auto-sized explorer (negative Workers, the
+//     service's setting) the SC pass and the machine explorations run side
+//     by side, with the report and error of running them in order.
+//     Checker.Check is the one composition of a verdict: the
 //     facade's weakorder.VerifyContract is a one-machine Check, and so is the
 //     non-SC outcome list of a campaign reproducer's header.
 //   - Minimize delta-debugs a violating program (drop threads, drop
@@ -48,7 +50,7 @@ import (
 // Checker differentially tests programs against the SC reference.
 // The zero value checks every weakly ordered machine with a trace-bounded
 // default explorer, one exploration after another; an explorer with negative
-// Workers fans them out (see Check).
+// Workers runs them side by side (see Check).
 type Checker struct {
 	// Explorer configures exploration; nil uses DefaultExplorer().
 	Explorer *model.Explorer
@@ -140,20 +142,25 @@ func (r *Report) RacyNonSC() bool {
 // The SC pass and the machine explorations are the items of one
 // par.ForEach. With a negative Explorer.Workers it is auto-sized from the par
 // budget; otherwise it is 1, which runs the items inline and in order. Every
-// item explores with the checker's explorer, and ForEach registers its width,
-// so a nested exploration claims spare slots only when the fan-out leaves
-// some. Once item j fails, the items above j that have not started are
-// skipped, and the error is the lowest-index failure: the one running the
-// items in order returns. The report is assembled in factory order, so it is
-// the same at every fan-out width; States too, whenever the explorations
-// themselves run serially (see model.Explorer.Workers).
+// item explores serially, whatever Explorer.Workers says: how many states a
+// reduced search visits before a budget trips depends on the order it visits
+// them in, and only the serial kernel fixes that order. Once item j fails,
+// the items above j that have not started are skipped, and the error is the
+// lowest-index failure: the one running the items in order returns. The
+// report is assembled in factory order, so it is the in-order run's at every
+// fan-out width, States included.
 //
 // On error the report is nil, except after a state-budget error
 // (errors.Is(err, model.ErrStateBudget)), when it holds Prog and States only:
 // the states of every exploration that ran, the one that hit the budget
 // counted at its StateBudgetError.States.
 func (c *Checker) Check(p *program.Program) (*Report, error) {
-	v := &verdict{p: p, x: c.explorer()}
+	v := &verdict{p: p, x: *c.explorer()}
+	width := 1
+	if v.x.Workers < 0 {
+		width = 0
+	}
+	v.x.Workers = 0
 	machines := c.machines()
 	run := make([]int, len(machines)) // per factory: its exploration
 	first := make(map[model.Behavior]int, len(machines))
@@ -174,10 +181,6 @@ func (c *Checker) Check(p *program.Program) (*Report, error) {
 	v.states = make([]int, n)
 	var failed atomic.Int64 // the lowest failed item so far
 	failed.Store(int64(n))
-	width := 1
-	if v.x.Workers < 0 {
-		width = 0
-	}
 	err := par.ForEach(n, width, func(i int) error {
 		if failed.Load() < int64(i) {
 			return nil
@@ -216,10 +219,11 @@ func (c *Checker) Check(p *program.Program) (*Report, error) {
 }
 
 // verdict is the state Check's fan-out shares: item 0 is the SC pass, item
-// j > 0 explores ms[j-1]. Each item writes only its own slots.
+// j > 0 explores ms[j-1], each with the serial explorer x. Each item writes
+// only its own slots.
 type verdict struct {
 	p      *program.Program
-	x      *model.Explorer
+	x      model.Explorer
 	sc     *model.SCPass
 	ms     []model.Machine   // per exploration: one machine per identity
 	names  []string          // per exploration: its factory's name

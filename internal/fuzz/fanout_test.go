@@ -2,7 +2,6 @@ package fuzz_test
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
 	"weakorder/internal/campaign"
@@ -14,13 +13,12 @@ import (
 )
 
 // TestCheckFanOutMatchesSerial is the differential gate of Check's fan-out:
-// with the service's auto width (Workers: -1) at par widths 1, 2 and
-// GOMAXPROCS, Check must return a report deep-equal to the in-order
-// Workers: 0 report, States included, over the litmus corpus and the first
-// 32 programs of campaign seed 1. GOMAXPROCS is capped at one more than the
-// verdict's explorations, one per behaviour identity among the default
-// machines: up to there the fan-out claims every slot, so each exploration
-// runs serially. A budget-exhausting program must fail with the same error at
+// with the service's auto width (Workers: -1) at par widths 1, 2 and 16,
+// Check must return a report deep-equal to the in-order Workers: 0 report,
+// States included, over the litmus corpus and the first 32 programs of
+// campaign seed 1. A par width of 16 leaves slots over once the fan-out of
+// the default machines has claimed its 8, which Check's explorations must
+// not take. A budget-exhausting program must fail with the same error at
 // every width, with exactly the budget as its partial States where the
 // fan-out runs in order.
 func TestCheckFanOutMatchesSerial(t *testing.T) {
@@ -58,11 +56,7 @@ func TestCheckFanOutMatchesSerial(t *testing.T) {
 	tightAuto := *tight
 	tightAuto.Workers = -1
 
-	widths := []int{1, 2}
-	if n := min(runtime.GOMAXPROCS(0), 2+explorations(litmus.WeaklyOrderedFactories(), progs[0])); n > 2 {
-		widths = append(widths, n)
-	}
-	for _, w := range widths {
+	for _, w := range []int{1, 2, 16} {
 		restore := par.SetWorkers(w)
 		for i, p := range progs {
 			got, err := fanned.Check(p)
@@ -84,12 +78,31 @@ func TestCheckFanOutMatchesSerial(t *testing.T) {
 	}
 }
 
-// explorations returns how many machine explorations a verdict over machines
-// runs: one per behaviour identity.
-func explorations(machines []litmus.Factory, p *program.Program) int {
-	ids := make(map[model.Behavior]bool)
-	for _, f := range machines {
-		ids[f.New(p).Behavior()] = true
+// TestCheckAtSerialBudgetMatchesSerial pins a verdict whose state budget is
+// exactly what the serial search visits: ProgramFor(1, 19) on tso at
+// MaxStates 39 is decided in order, and 200 Checks at the service's auto
+// width under a par width of 8 must each return that report. A parallel
+// search may visit a 40th state first, and so skip the program.
+func TestCheckAtSerialBudgetMatchesSerial(t *testing.T) {
+	_, p := campaign.ProgramFor(1, 19)
+	tso, ok := litmus.FactoryByName("tso")
+	if !ok {
+		t.Fatal("no tso machine")
 	}
-	return len(ids)
+	machines := []litmus.Factory{tso}
+	x := fuzz.DefaultExplorer()
+	x.MaxStates = 39
+	want, err := (&fuzz.Checker{Explorer: x, Machines: machines}).Check(p)
+	if err != nil {
+		t.Fatalf("serial check at %d states: %v", x.MaxStates, err)
+	}
+	defer par.SetWorkers(8)()
+	auto := *x
+	auto.Workers = -1
+	for i := 0; i < 200; i++ {
+		got, err := (&fuzz.Checker{Explorer: &auto, Machines: machines}).Check(p)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("check %d: report %+v, error %v; want %+v", i, got, err, want)
+		}
+	}
 }

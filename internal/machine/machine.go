@@ -103,9 +103,6 @@ type Config struct {
 	// when Faults is on (0 = derived defaults).
 	RetryTimeout sim.Time
 	RetryLimit   int
-	// QueueLimit bounds the directory's per-line request queue when Faults
-	// is on (0 = derived default); overflow is NACKed.
-	QueueLimit int
 	// WatchdogTimeout overrides the directory watchdog's transaction
 	// deadline when Faults is on (0 = derived default). On top of it the
 	// machine always grants the watchdog a grace of cache.BackoffBudget —
@@ -200,9 +197,6 @@ func (c *Config) defaults() {
 		}
 		if c.RetryLimit < 1 {
 			c.RetryLimit = 8
-		}
-		if c.QueueLimit < 1 {
-			c.QueueLimit = 8
 		}
 		if c.WatchdogTimeout < 1 {
 			// Lost-message deadline: a few full round trips. The watchdog's
@@ -332,11 +326,6 @@ func New(p *program.Program, cfg Config) *Machine {
 		}
 		inj = faults.NewInjector(engine, fabric, cfg.FaultSeed, rates)
 		fabric = inj
-		if cfg.QueueLimit < n {
-			// Every processor must fit in the queue or contention alone
-			// (no faults) could NACK a request into retry exhaustion.
-			cfg.QueueLimit = n
-		}
 	}
 	dirID := interconnect.NodeID(n)
 	init := make(map[mem.Addr]mem.Value)
@@ -353,7 +342,9 @@ func New(p *program.Program, cfg Config) *Machine {
 	dir.SetMetrics(rec)
 	if cfg.Faults {
 		dir.SetLenient(true)
-		dir.SetQueueLimit(cfg.QueueLimit)
+		// Every processor must fit in the queue or contention alone (no
+		// faults) could NACK a request into retry exhaustion.
+		dir.SetQueueLimit(max(8, n))
 		dir.EnableWatchdog(cfg.RetryTimeout, cfg.WatchdogTimeout)
 		// A busy line is not lost while its requester (or the owner it was
 		// routed to) is still inside the bounded retransmission schedule.

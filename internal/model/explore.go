@@ -49,10 +49,11 @@ type Explorer struct {
 	// Workers selects the exploration width, passed through to the kernel:
 	// 0 or 1 serial, n > 1 that many workers sharing one search, negative
 	// auto-sized from the par budget. Any width produces the same outcome
-	// set; visit order and reduced-mode Stats may vary above width 1. See
-	// explore.Explorer.Workers. A fuzz.Checker given a negative width also
-	// runs a verdict's explorations side by side, each auto-sizing from the
-	// slots that fan-out leaves (fuzz.Checker.Check).
+	// set; visit order and reduced-mode Stats, and so whether a search near
+	// MaxStates exhausts it, may vary above width 1. See
+	// explore.Explorer.Workers. A fuzz.Checker given a negative width runs a
+	// verdict's explorations side by side instead, each of them serially
+	// (fuzz.Checker.Check).
 	Workers int
 }
 
